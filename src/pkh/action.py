@@ -14,10 +14,9 @@ equals (n-1) n_minus(D) / d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from .complexes import DiagramComplex, build_complex
+from .complexes import build_complex
 from .diagram import PeriodicDiagram, _as_state, isotropy, orbit_decomposition
 from .errors import ValidationError
 from .polynomials import LaurentPoly
@@ -31,25 +30,6 @@ def s_exponent(n: int, r: int, d: int, n_minus_diagram: int) -> int:
     return num // d
 
 
-@dataclass
-class ChainAutomorphism:
-    """Signed permutation blocks of the generator action, one per (i, j)."""
-
-    complex: DiagramComplex
-
-    @property
-    def n(self) -> int:
-        return self.complex.D.n
-
-    def block(self, i: int, j: int) -> list[tuple[int, int]]:
-        return self.complex.slice(j).psi(i)
-
-
-def action(diagram: PeriodicDiagram) -> ChainAutomorphism:
-    """Generator action on the Khovanov complex of the diagram."""
-    return ChainAutomorphism(build_complex(diagram))
-
-
 def fixed_state_sign(diagram: PeriodicDiagram, state) -> int:
     """Scalar by which the (n/d)-th power of the generator acts on the span
     of a state with exact isotropy of order d, before permuting labels."""
@@ -61,14 +41,13 @@ def fixed_state_sign(diagram: PeriodicDiagram, state) -> int:
     return -1 if s_exponent(n, r, d, diagram.n_minus) & 1 else 1
 
 
-def verify_module_structure(diagram: PeriodicDiagram,
-                            cx: DiagramComplex | None = None) -> dict:
+def verify_module_structure(diagram: PeriodicDiagram) -> dict:
     """Check psi^n = 1, psi d = d psi and quantum preservation blockwise.
 
     Returns a report dict; on failure `witness` names the first offending
     (i, j, basis index).
     """
-    cx = cx or build_complex(diagram)
+    cx = build_complex(diagram)
     n = diagram.n
     for j in cx.quantum_range():
         sl = cx.slice(j)

@@ -202,7 +202,7 @@ def cmd_verify(args) -> int:
             ok_d2 = False
             break
     record("differential_squares_to_zero", ok_d2)
-    rep = verify_module_structure(D, cx=cx)
+    rep = verify_module_structure(D)
     record("action_is_chain_automorphism", rep["ok"], rep.get("witness"))
     chi = graded_euler_characteristic(D)
     khp = khovanov_polynomial(D)

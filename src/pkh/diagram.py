@@ -136,6 +136,7 @@ class PeriodicDiagram:
         self.n_minus = n * tangle.n_minus
         self._glue()
         self._states: dict[int, _StateData] = {}
+        self.complex = None  # the Khovanov complex, set by pkh.complexes.build_complex
 
     # crossing g = copy * ncross_t + index within tangle (copy-major order)
     def crossing_copy(self, g: int) -> int:

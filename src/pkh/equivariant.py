@@ -23,13 +23,13 @@ surviving basis by a signed permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
-from .complexes import DiagramComplex, GradedAbGroup, SliceComplex, build_complex, khovanov_homology
+from .complexes import GradedAbGroup, SliceComplex, build_complex, khovanov_homology
 from .diagram import PeriodicDiagram
 from .errors import InvariantError, ValidationError
 from .homalg import (FreeComplex, GroupRingElt, SparseIntMatrix, cofactor,
                      cyclotomic, eval_group_ring, int_rank, poly_divmod_exact)
+from .oracles import euler_phi
 from .polynomials import BiPolynomial
 
 # ---------------------------------------------------------------------------
@@ -260,6 +260,7 @@ def equivariant_reduce(sl: SliceComplex, n: int) -> EquivariantSlice:
     cached = getattr(sl, "_eq_reduced", None)
     if cached is None:
         red = _EqReducer(sl, n)
+        sl.release_diffs()  # the reducer works on its own copies
         red.reduce()
         cached = red.export()
         sl._eq_reduced = cached
@@ -308,8 +309,7 @@ class EquivariantGroups:
         return self.tail
 
 
-def ext_groups(diagram: PeriodicDiagram, d: int, window: int | None = None,
-               cx: DiagramComplex | None = None) -> EquivariantGroups:
+def ext_groups(diagram: PeriodicDiagram, d: int, window: int | None = None) -> EquivariantGroups:
     """Hyper-Ext of Z[xi_d] into the Khovanov complex, graded by (i, j).
 
     Degrees i <= window are exact; the resolution is truncated far enough
@@ -322,7 +322,7 @@ def ext_groups(diagram: PeriodicDiagram, d: int, window: int | None = None,
         window = 2 * diagram.ncross + 6
     if window < 0:
         raise ValidationError("window must be non-negative")
-    cx = cx or build_complex(diagram)
+    cx = build_complex(diagram)
     cols = window + diagram.n_minus + 2  # columns 0..cols-1
     phi = GroupRingElt.from_poly(n, cyclotomic(d)).coeffs
     cof = GroupRingElt.from_poly(n, cofactor(d, n)).coeffs
@@ -475,8 +475,7 @@ def _eigen_basis(psi: list[tuple[int, int]], eps: int):
 # rational isotypic homology
 
 
-def rational_equivariant(diagram: PeriodicDiagram, d: int,
-                         cx: DiagramComplex | None = None) -> dict:
+def rational_equivariant(diagram: PeriodicDiagram, d: int) -> dict:
     """Dimensions of the Phi_d-isotypic part of rational Khovanov homology.
 
     Returns {'dim_q': {(i, j): dim over Q}, 'dim_cyc': {(i, j): dim over the
@@ -485,8 +484,8 @@ def rational_equivariant(diagram: PeriodicDiagram, d: int,
     n = diagram.n
     if n % d:
         raise ValidationError(f"{d} does not divide the rotation order {n}")
-    cx = cx or build_complex(diagram)
-    phi_d = _euler_phi(d)
+    cx = build_complex(diagram)
+    phi_d = euler_phi(d)
     dims: dict[tuple[int, int], int] = {}
     for j in cx.quantum_range():
         sl = cx.slice(j)
@@ -528,7 +527,7 @@ def _isotypic_basis(psi: list[tuple[int, int]], d: int) -> list[dict[int, int]]:
     """Integer basis of the Phi_d-isotypic subspace of a signed permutation."""
     out: list[dict[int, int]] = []
     seen = [False] * len(psi)
-    phi_d = _euler_phi(d)
+    phi_d = euler_phi(d)
     for start in range(len(psi)):
         if seen[start]:
             continue
@@ -572,17 +571,12 @@ def _isotypic_basis(psi: list[tuple[int, int]], d: int) -> list[dict[int, int]]:
     return out
 
 
-def _euler_phi(d: int) -> int:
-    return sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
-
-
-def equivariant_polynomials(diagram: PeriodicDiagram, d: int,
-                            cx: DiagramComplex | None = None):
+def equivariant_polynomials(diagram: PeriodicDiagram, d: int):
     """(equivariant Khovanov polynomial, equivariant Jones polynomial) at d.
 
     Coefficients are dimensions over the d-th cyclotomic field.
     """
-    data = rational_equivariant(diagram, d, cx=cx)
+    data = rational_equivariant(diagram, d)
     khp = BiPolynomial(dict(data["dim_cyc"]))
     return khp, khp.at_t_minus_one()
 
@@ -632,21 +626,19 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-def total_comparison(diagram: PeriodicDiagram, window: int | None = None,
-                     cx: DiagramComplex | None = None) -> dict:
+def total_comparison(diagram: PeriodicDiagram, window: int | None = None) -> dict:
     """Compare the d-sum of equivariant groups with classical homology.
 
     Free ranks must agree on the nose; torsion after inverting the primes
     dividing n.  Returns a report with per-(i, j) failures, if any.
     """
-    cx = cx or build_complex(diagram)
-    classical = khovanov_homology(diagram, "Z", cx=cx).as_dict()
+    classical = khovanov_homology(diagram, "Z").as_dict()
     n = diagram.n
     primes = _prime_divisors(n)
     top = max((i for i, _ in classical), default=0)
     if window is None:
         window = top + 2
-    exts = {d: ext_groups(diagram, d, window, cx=cx)
+    exts = {d: ext_groups(diagram, d, window)
             for d in range(1, n + 1) if n % d == 0}
     keys = set(classical)
     for e in exts.values():
@@ -671,8 +663,7 @@ def total_comparison(diagram: PeriodicDiagram, window: int | None = None,
     return {"ok": not failures, "window": window, "failures": failures}
 
 
-def tail_checks(diagram: PeriodicDiagram, d: int, window: int | None = None,
-                cx: DiagramComplex | None = None) -> dict:
+def tail_checks(diagram: PeriodicDiagram, d: int, window: int | None = None) -> dict:
     """Two-periodicity and annihilation of the window tail.
 
     Needs prime-power rotation order p^m.  Beyond the top classical degree
@@ -696,14 +687,13 @@ def tail_checks(diagram: PeriodicDiagram, d: int, window: int | None = None,
             raise ValidationError("d must be a power of the same prime")
         dd //= p
         s += 1
-    cx = cx or build_complex(diagram)
-    classical = khovanov_homology(diagram, "Z", cx=cx).as_dict()
+    classical = khovanov_homology(diagram, "Z").as_dict()
     m_top = max((i for i, _ in classical), default=0)
     if window is None:
         window = m_top + 6
     if window < m_top + 4:
         raise ValidationError("window too small to see the tail")
-    ext = ext_groups(diagram, d, window, cx=cx)
+    ext = ext_groups(diagram, d, window)
     bound = n if s == 0 else p ** (m - s + 1)
     failures = []
     js = {j for _, j in ext.groups}

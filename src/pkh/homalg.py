@@ -371,10 +371,6 @@ def int_rank(a: SparseIntMatrix) -> int:
     return rank
 
 
-def int_kernel_dim(a: SparseIntMatrix) -> int:
-    return a.ncols - int_rank(a)
-
-
 # ---------------------------------------------------------------------------
 # free cochain complexes
 

@@ -471,6 +471,7 @@ def _build_slices(bic: OrbitResolutionBicomplex, sector: int | None):
                 mats[i] = mat
         if dims:
             slices[j] = _FilteredSlice(dims, levels, mats, L)
+        sl.release_diffs()  # the filtered slice works on its own copies
     return slices
 
 

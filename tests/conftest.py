@@ -19,12 +19,5 @@ def diagrams():
 
 @pytest.fixture(scope="session")
 def complexes(diagrams):
-    """Shared Khovanov complexes so slices and reductions are reused."""
-    cache = {}
-
-    def get(name):
-        if name not in cache:
-            cache[name] = build_complex(diagrams(name))
-        return cache[name]
-
-    return get
+    """The Khovanov complex of a corpus diagram, shared through the session."""
+    return lambda name: build_complex(diagrams(name))

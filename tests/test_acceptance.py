@@ -38,12 +38,11 @@ class Budget:
             assert elapsed < self.seconds, f"{self.name} exceeded runtime budget"
 
 
-def test_criterion_01_hopf_equivariant_polynomials(diagrams, complexes):
+def test_criterion_01_hopf_equivariant_polynomials(diagrams):
     with Budget("1 hopf equivariant polynomials", 1):
         d = diagrams("hopf")
-        cx = complexes("hopf")
-        khp1, _ = equivariant_polynomials(d, 1, cx=cx)
-        khp2, _ = equivariant_polynomials(d, 2, cx=cx)
+        khp1, _ = equivariant_polynomials(d, 1)
+        khp2, _ = equivariant_polynomials(d, 2)
         assert khp1 == BiPolynomial({(0, 0): 1, (0, 2): 1, (2, 4): 1})
         assert khp2 == BiPolynomial({(2, 6): 1})
 
@@ -89,13 +88,12 @@ def test_criterion_05_torus_classical_polynomials(diagrams):
             assert got == torus_khp(n), n
 
 
-def test_criterion_06_torus_equivariant_polynomials(diagrams, complexes):
+def test_criterion_06_torus_equivariant_polynomials(diagrams):
     with Budget("6 torus equivariant polynomials", 300):
         for n in range(2, 9):
             D = diagrams(f"t{n}_2")
-            cx = complexes(f"t{n}_2")
-            khp1, _ = equivariant_polynomials(D, 1, cx=cx)
-            khp2, _ = equivariant_polynomials(D, 2, cx=cx)
+            khp1, _ = equivariant_polynomials(D, 1)
+            khp2, _ = equivariant_polynomials(D, 2)
             want1, want2 = torus_ekh2(n)
             assert khp2 == want2, n
             assert khp1 == want1, n
@@ -112,17 +110,17 @@ def test_criterion_07_sector_two_e2_page(diagrams):
             assert page2.entries == {(1, 2 * k - 1, 6 * k): 1}, n
 
 
-def test_criterion_08_localization(diagrams, complexes):
+def test_criterion_08_localization(diagrams):
     with Budget("8 localization over the corpus", 300):
         for name in corpus.corpus_names():
             D = diagrams(name)
             if D.n not in (2, 3):
                 continue
-            rep = total_comparison(D, cx=complexes(name))
+            rep = total_comparison(D)
             assert rep["ok"], (name, rep["failures"])
 
 
-def test_criterion_09_periodic_torsion_tails(diagrams, complexes):
+def test_criterion_09_periodic_torsion_tails(diagrams):
     with Budget("9 periodicity and torsion of tails", 300):
         for name in corpus.corpus_names():
             D = diagrams(name)
@@ -131,7 +129,7 @@ def test_criterion_09_periodic_torsion_tails(diagrams, complexes):
             for d in range(1, D.n + 1):
                 if D.n % d:
                     continue
-                rep = tail_checks(D, d, cx=complexes(name))
+                rep = tail_checks(D, d)
                 assert rep["ok"], (name, d, rep["failures"])
 
 

@@ -1,14 +1,14 @@
-from pkh.action import (action, chain_module_decomposition, fixed_state_sign,
-                        s_exponent, verify_module_structure)
+from pkh import corpus
+from pkh.action import (chain_module_decomposition, fixed_state_sign, s_exponent,
+                        verify_module_structure)
 from pkh.complexes import build_complex
 from pkh.oracles import qdim_M
 from pkh.polynomials import LaurentPoly
 
 
 class TestGeneratorAction:
-    def test_identity_for_n1(self, diagrams, complexes):
-        cx = complexes("trefoil")
-        psi = action(diagrams("trefoil"))
+    def test_identity_for_n1(self, diagrams):
+        cx = build_complex(diagrams("trefoil"))
         for j in cx.quantum_range():
             sl = cx.slice(j)
             for i in sl.basis:
@@ -31,8 +31,9 @@ class TestGeneratorAction:
                      "trivial_p4_k1_f2"):
             assert verify_module_structure(diagrams(name))["ok"]
 
-    def test_corrupted_sign_is_detected(self, diagrams):
-        d = diagrams("hopf")
+    def test_corrupted_sign_is_detected(self):
+        # a diagram of its own: the corruption must not reach the shared complex
+        d = corpus.build("hopf")
         cx = build_complex(d)
         sl = cx.slice(4)
         i = min(sl.basis)
@@ -40,7 +41,7 @@ class TestGeneratorAction:
         k, sign = table[0]
         table[0] = (k, -sign)
         sl._psi[i] = table
-        report = verify_module_structure(d, cx=cx)
+        report = verify_module_structure(d)
         assert not report["ok"]
         assert report["witness"] is not None
 

@@ -6,6 +6,7 @@ import pytest
 
 from pkh import corpus
 from pkh.cli import main
+from pkh.complexes import DiagramComplex
 from pkh.diagram import parse_diagram
 
 
@@ -100,6 +101,23 @@ class TestCommands:
             code, out = run_cli(capsys, "verify", str(corpus_dir / f"{name}.json"))
             assert code == 0
             assert json.loads(out)["ok"]
+
+    def test_one_complex_per_command(self, capsys, corpus_dir, monkeypatch):
+        path = corpus_dir / "t2_2.json"
+        want = parse_diagram(path.read_text()).to_dict()
+        built = []
+        init = DiagramComplex.__init__
+
+        def counted(self, diagram):
+            built.append(diagram.to_dict() == want)
+            init(self, diagram)
+
+        monkeypatch.setattr(DiagramComplex, "__init__", counted)
+        for argv in (["verify", str(path)], ["ss", str(path)]):
+            built.clear()
+            code, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert built.count(True) == 1, argv
 
     def test_missing_file(self, capsys):
         code, _ = run_cli(capsys, "kh", "/nonexistent/nowhere.json")

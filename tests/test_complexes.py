@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ from pkh.complexes import (GradedAbGroup, build_complex, edge_sign,
                            khovanov_polynomial)
 from pkh.diagram import diagram_from_dict
 from pkh.errors import ValidationError
+from pkh.homalg import SparseIntMatrix
 from pkh.polynomials import BiPolynomial, LaurentPoly
 
 
@@ -110,14 +112,104 @@ class TestComplexStructure:
             assert chain == graded_euler_characteristic(diagrams(name))
 
 
+def reference_basis(cx, j):
+    """The j-slice basis from a scan of all 2^N smoothings, one at a time."""
+    D = cx.D
+    basis = {}
+    for bits in range(1 << D.ncross):
+        sd = D.state_data(bits)
+        r = bits.bit_count()
+        twice = sd.n_circ + r + cx.shift_j - j
+        if twice % 2 or not 0 <= twice // 2 <= sd.n_circ:
+            continue
+        lvl = basis.setdefault(r + cx.shift_i, [])
+        for combo in combinations(range(sd.n_circ), twice // 2):
+            lvl.append((bits, sum(1 << k for k in combo)))
+    return basis
+
+
+def reference_diff(D, src, tgt_index):
+    """The differential worked out afresh for every enhanced state."""
+    m = SparseIntMatrix(len(tgt_index), len(src))
+    for col, (bits, xmask) in enumerate(src):
+        sd = D.state_data(bits)
+        for c in range(D.ncross):
+            if (bits >> c) & 1:
+                continue
+            tbits = bits | (1 << c)
+            td = D.state_data(tbits)
+            sign = edge_sign(D, bits, c)
+            arcs = [D.slot_to_arc[e] for e in D.crossing_slots(c)]
+            s_at = {sd.circ_of_arc[a] for a in arcs}
+            t_at = {td.circ_of_arc[a] for a in arcs}
+            base = 0
+            for k in range(sd.n_circ):
+                if k not in s_at and (xmask >> k) & 1:
+                    base |= 1 << td.circ_of_arc[sd.rep_arcs[k]]
+            if len(s_at) == 2:
+                k1, k2 = sorted(s_at)
+                xa, xb = (xmask >> k1) & 1, (xmask >> k2) & 1
+                if xa and xb:
+                    continue
+                tmask = base | ((xa | xb) << next(iter(t_at)))
+                m.add(tgt_index[(tbits, tmask)], col, sign)
+            else:
+                k = next(iter(s_at))
+                t1, t2 = sorted(t_at)
+                if (xmask >> k) & 1:
+                    m.add(tgt_index[(tbits, base | (1 << t1) | (1 << t2))], col, sign)
+                else:
+                    m.add(tgt_index[(tbits, base | (1 << t1))], col, sign)
+                    m.add(tgt_index[(tbits, base | (1 << t2))], col, sign)
+    return m
+
+
+class TestEdgeTables:
+    """The per-edge, bucketed builder against a per-enhanced-state rescan."""
+
+    def test_matches_reference_builder(self, complexes):
+        names = [n for n in corpus.corpus_names() if corpus.build(n).ncross <= 10]
+        assert "t6_2" in names
+        for name in names:
+            cx = complexes(name)
+            D = cx.D
+            scan = [(bits.bit_count(), D.state_data(bits).n_circ)
+                    for bits in range(1 << D.ncross)]
+            lo = min(r - c for r, c in scan) + cx.shift_j
+            hi = max(r + c for r, c in scan) + cx.shift_j
+            assert cx.quantum_range() == range(lo, hi + 1, 2), name
+            for j in cx.quantum_range():
+                sl = cx.slice(j)
+                ref = reference_basis(cx, j)
+                assert list(sl.basis.items()) == list(ref.items()), (name, j)
+                for i, src in ref.items():
+                    if i + 1 not in ref:
+                        continue
+                    tgt_index = {be: k for k, be in enumerate(ref[i + 1])}
+                    want = reference_diff(D, src, tgt_index)
+                    got = sl.diff(i)
+                    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+                    assert got.nnz == want.nnz, (name, j, i)
+                    # same entries, inserted in the same order
+                    assert [(r, list(row.items())) for r, row in got.rows.items()] == \
+                        [(r, list(row.items())) for r, row in want.rows.items()], (name, j, i)
+                    assert [(c, list(col)) for c, col in got.cols.items()] == \
+                        [(c, list(col)) for c, col in want.cols.items()], (name, j, i)
+
+    def test_one_complex_per_diagram(self, diagrams):
+        d = diagrams("hopf")
+        assert build_complex(d) is build_complex(d)
+        assert khovanov_homology(d, "Q") is khovanov_homology(d, "Q")
+
+
 class TestHomology:
-    def test_hopf_rational(self, diagrams, complexes):
-        kh = khovanov_homology(diagrams("hopf"), "Q", cx=complexes("hopf"))
+    def test_hopf_rational(self, diagrams):
+        kh = khovanov_homology(diagrams("hopf"), "Q")
         assert kh.as_dict() == {(0, 0): (1, ()), (0, 2): (1, ()),
                                 (2, 4): (1, ()), (2, 6): (1, ())}
 
-    def test_trefoil_rational_and_torsion(self, diagrams, complexes):
-        kh = khovanov_homology(diagrams("trefoil"), "Z", cx=complexes("trefoil"))
+    def test_trefoil_rational_and_torsion(self, diagrams):
+        kh = khovanov_homology(diagrams("trefoil"), "Z")
         assert kh.as_dict() == {(0, 1): (1, ()), (0, 3): (1, ()), (2, 5): (1, ()),
                                 (3, 7): (0, (2,)), (3, 9): (1, ())}
 

@@ -103,15 +103,14 @@ class TestExtGroups:
         with pytest.raises(ValidationError):
             ext_groups(diagrams("hopf"), 3, window=4)
 
-    def test_free_ranks_match_rational(self, diagrams, complexes):
+    def test_free_ranks_match_rational(self, diagrams):
         for name in ("hopf", "unknot2_n2", "t4_2", "borromean_n3"):
             D = diagrams(name)
-            cx = complexes(name)
             for d in range(1, D.n + 1):
                 if D.n % d:
                     continue
-                ext = ext_groups(D, d, window=D.n_plus + 2, cx=cx)
-                rat = rational_equivariant(D, d, cx=cx)["dim_q"]
+                ext = ext_groups(D, d, window=D.n_plus + 2)
+                rat = rational_equivariant(D, d)["dim_q"]
                 free = {k: v[0] for k, v in ext.groups.items() if v[0]}
                 want = {k: v for k, v in rat.items() if k[0] <= ext.window}
                 assert free == want
@@ -150,15 +149,14 @@ class TestRational:
         assert r1 == {(0, 0): 1, (0, 2): 1, (2, 4): 1}
         assert r2 == {(2, 6): 1}
 
-    def test_sectors_sum_to_classical(self, diagrams, complexes):
+    def test_sectors_sum_to_classical(self, diagrams):
         for name in ("hopf", "t5_2", "borromean_n3"):
             D = diagrams(name)
-            cx = complexes(name)
             total = BiPolynomial.zero()
             for d in range(1, D.n + 1):
                 if D.n % d:
                     continue
-                data = rational_equivariant(D, d, cx=cx)
+                data = rational_equivariant(D, d)
                 total = total + BiPolynomial(data["dim_q"])
             assert total == khovanov_polynomial(D)
 
@@ -184,10 +182,10 @@ class TestPolynomialsAndStructure:
         assert str(j1) == "1 + q^2 + q^4"
         assert str(j2) == "q^6"
 
-    def test_total_comparison_small_corpus(self, diagrams, complexes):
+    def test_total_comparison_small_corpus(self, diagrams):
         for name in ("hopf", "unknot2_n2", "t3_2", "borromean_n3",
                      "trivial_p3_k1_f1", "trivial_p2_k1_f2"):
-            rep = total_comparison(diagrams(name), cx=complexes(name))
+            rep = total_comparison(diagrams(name))
             assert rep["ok"], rep["failures"]
 
     def test_total_comparison_is_exact_without_symmetry(self, diagrams):
