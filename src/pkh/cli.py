@@ -94,8 +94,6 @@ def cmd_kh(args) -> int:
 
 def cmd_ekh(args) -> int:
     D = _load(args.file)
-    if D.n % args.d:
-        raise ValidationError(f"{args.d} does not divide the rotation order {D.n}")
     if args.coeffs == "q":
         data = rational_equivariant(D, args.d)
         payload = {
@@ -147,8 +145,6 @@ def cmd_poly(args) -> int:
         khp = khovanov_polynomial(D)
         payload = {"polynomial": str(khp)}
     else:
-        if D.n % args.d:
-            raise ValidationError(f"{args.d} does not divide the rotation order {D.n}")
         khp, jones = equivariant_polynomials(D, args.d)
         payload = {"d": args.d, "polynomial": str(khp), "jones": str(jones)}
     _emit(payload, args.format)

@@ -120,8 +120,6 @@ class DiagramComplex:
         # interned: a diagram has few distinct transports, and many edges
         self._transports: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._labellings: dict[tuple[int, int], Labellings] = {}
-        self._crossing_arcs = [tuple(diagram.slot_to_arc[e] for e in diagram.crossing_slots(c))
-                               for c in range(diagram.ncross)]
 
     def buckets(self) -> dict[tuple[int, int], list[int]]:
         """Smoothings keyed by (weight, circle count), each list ascending."""
@@ -159,7 +157,7 @@ class DiagramComplex:
         D = self.D
         sd = D.state_data(bits)
         out = []
-        for c, arcs in enumerate(self._crossing_arcs):
+        for c, arcs in enumerate(D.crossing_arcs):
             if (bits >> c) & 1:
                 continue
             tbits = bits | (1 << c)
@@ -286,6 +284,15 @@ class SliceComplex:
                 if hit:
                     cols[col] = hit
                 col += 1
+        return m
+
+    def take_diff(self, i: int) -> SparseIntMatrix:
+        """d_i handed over to the caller, who may then change it in place.
+
+        The slice forgets the matrix, so a later `diff(i)` builds a new one.
+        """
+        m = self.diff(i)
+        self._diffs.pop(i, None)
         return m
 
     def release_diffs(self) -> None:

@@ -209,6 +209,9 @@ class PeriodicDiagram:
         for arc in arcs:
             for e in arc.ends:
                 self.slot_to_arc[e] = arc.aid
+        # per crossing, the arcs at its four slots in slot order
+        self.crossing_arcs = tuple(tuple(self.slot_to_arc[e] for e in self.crossing_slots(g))
+                                   for g in range(self.ncross))
 
         piece_to_arc = {}
         for arc in arcs:
@@ -255,9 +258,7 @@ class PeriodicDiagram:
                 x = parent[x]
             return x
 
-        for g in range(self.ncross):
-            s = self.crossing_slots(g)
-            a = [self.slot_to_arc[e] for e in s]
+        for g, a in enumerate(self.crossing_arcs):
             if (bits >> g) & 1:
                 pairs = ((a[0], a[3]), (a[1], a[2]))
             else:

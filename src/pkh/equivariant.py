@@ -27,8 +27,9 @@ from dataclasses import dataclass, field
 from .complexes import GradedAbGroup, SliceComplex, build_complex, khovanov_homology
 from .diagram import PeriodicDiagram
 from .errors import InvariantError, ValidationError
-from .homalg import (FreeComplex, GroupRingElt, SparseIntMatrix, cofactor,
-                     cyclotomic, eval_group_ring, int_rank, poly_divmod_exact)
+from .homalg import (CancellingComplex, FreeComplex, GroupRingElt, SparseIntMatrix,
+                     cofactor, cyclotomic, eval_group_ring, int_rank,
+                     poly_divmod_exact, project)
 from .oracles import euler_phi
 from .polynomials import BiPolynomial
 
@@ -47,8 +48,7 @@ class PeriodicResolution:
     cof: list[int] = field(init=False)
 
     def __post_init__(self):
-        if self.n % self.d:
-            raise ValidationError(f"{self.d} does not divide {self.n}")
+        _check_divisor(self.n, self.d)
         if self.length < 1:
             raise ValidationError("length must be >= 1")
         self.phi = cyclotomic(self.d)
@@ -105,6 +105,12 @@ def _shift_mod(rem: list[int], phi: list[int]) -> list[int]:
     return out
 
 
+def _check_divisor(n: int, d: int) -> None:
+    """The cyclotomic index d must be a positive divisor of the order n."""
+    if d < 1 or n % d:
+        raise ValidationError(f"{d} does not divide the rotation order {n}")
+
+
 def build_resolution(n: int, d: int, length: int) -> PeriodicResolution:
     res = PeriodicResolution(n, d, length)
     res.verify()
@@ -124,146 +130,49 @@ class EquivariantSlice:
     psi: dict[int, list[tuple[int, int]]]
 
 
-class _EqReducer:
-    def __init__(self, sl: SliceComplex, n: int):
-        self.n = n
-        self.alive: dict[int, set[int]] = {}
-        self.mats: dict[int, SparseIntMatrix] = {}
-        self.psi: dict[int, dict[int, tuple[int, int]]] = {}
-        for i, basis in sl.basis.items():
-            if not basis:
-                continue
-            self.alive[i] = set(range(len(basis)))
-            self.psi[i] = {k: v for k, v in enumerate(sl.psi(i))}
-            if sl.dim(i + 1):
-                d = sl.diff(i)
-                if not d.is_zero():
-                    self.mats[i] = d.copy()
-
-    def orbit(self, i: int, e: int) -> list[int]:
-        psi = self.psi[i]
-        out = [e]
-        cur = psi[e][0]
-        while cur != e:
-            out.append(cur)
-            cur = psi[cur][0]
-        return out
-
-    def reduce(self) -> None:
-        n = self.n
-        while True:
-            batch = []
-            for i, m in self.mats.items():
-                cols = m.cols
-                for t, row in m.rows.items():
-                    rl = len(row)
-                    for s, v in row.items():
-                        if v == 1 or v == -1:
-                            batch.append(((rl - 1) * (len(cols[s]) - 1), i, t, s))
-            if not batch:
-                return
-            batch.sort()
-            progress = False
-            for _, i, t, s in batch:
-                m = self.mats.get(i)
-                if m is None or m.get(t, s) not in (1, -1) or s not in self.psi[i]:
-                    continue
-                if t not in self.psi[i + 1]:
-                    continue
-                orb_s = self.orbit(i, s)
-                if len(orb_s) != n:
-                    continue
-                orb_t = self.orbit(i + 1, t)
-                if len(orb_t) != n:
-                    continue
-                if any(m.get(t2, s) for t2 in orb_t if t2 != t):
-                    continue
-                if any(m.get(t2, s2) not in (1, -1)
-                       for t2, s2 in zip(orb_t, orb_s)):
-                    continue
-                self._cancel_orbit(i, orb_t, orb_s)
-                progress = True
-            if not progress:
-                return
-
-    def _cancel_orbit(self, i: int, orb_t: list[int], orb_s: list[int]) -> None:
-        m = self.mats[i]
-        rows, cols = m.rows, m.cols
-        for t, s in zip(orb_t, orb_s):
-            lam = m.get(t, s)
-            assert lam in (1, -1)
-            prow = [(c, b) for c, b in rows[t].items() if c != s]
-            pcol = [(r, rows[r][s]) for r in cols.get(s, ()) if r != t]
-            for r, a in pcol:
-                coeff = a * lam
-                row = rows.setdefault(r, {})
-                for c, b in prow:
-                    new = row.get(c, 0) - coeff * b
-                    if new:
-                        row[c] = new
-                        cols.setdefault(c, set()).add(r)
-                    elif c in row:
-                        del row[c]
-                        col = cols[c]
-                        col.discard(r)
-                        if not col:
-                            del cols[c]
-                if not row:
-                    del rows[r]
-            for c, _ in prow:
-                m._drop(t, c)
-            for r in list(cols.get(s, ())):
-                m._drop(r, s)
-            below = self.mats.get(i - 1)
-            if below is not None:
-                for c in list(below.rows.get(s, {})):
-                    below._drop(s, c)
-            above = self.mats.get(i + 1)
-            if above is not None:
-                for r in list(above.cols.get(t, set())):
-                    above._drop(r, t)
-        for s in orb_s:
-            self.alive[i].discard(s)
-            del self.psi[i][s]
-        for t in orb_t:
-            self.alive[i + 1].discard(t)
-            del self.psi[i + 1][t]
-        if i in self.mats and self.mats[i].is_zero():
-            del self.mats[i]
-        for k in (i - 1, i + 1):
-            if k in self.mats and self.mats[k].is_zero():
-                del self.mats[k]
-
-    def export(self) -> EquivariantSlice:
-        remap = {i: {e: k for k, e in enumerate(sorted(s))} for i, s in self.alive.items()}
-        dims = {i: len(s) for i, s in self.alive.items() if s}
-        diffs: dict[int, SparseIntMatrix] = {}
-        for i, m in self.mats.items():
-            out = SparseIntMatrix(dims.get(i + 1, 0), dims.get(i, 0))
-            for r, c, v in m.entries():
-                out.set(remap[i + 1][r], remap[i][c], v)
-            if not out.is_zero():
-                diffs[i] = out
-        psi: dict[int, list[tuple[int, int]]] = {}
-        for i, table in self.psi.items():
-            if not self.alive.get(i):
-                continue
-            rm = remap[i]
-            lst = [(0, 1)] * len(rm)
-            for e, (img, sg) in table.items():
-                lst[rm[e]] = (rm[img], sg)
-            psi[i] = lst
-        return EquivariantSlice(dims, diffs, psi)
+def _orbit(psi: list[tuple[int, int]], e: int) -> list[int]:
+    out = [e]
+    cur = psi[e][0]
+    while cur != e:
+        out.append(cur)
+        cur = psi[cur][0]
+    return out
 
 
 def equivariant_reduce(sl: SliceComplex, n: int) -> EquivariantSlice:
+    """Cancel whole free orbits of unit entries; the result is cached on sl.
+
+    A unit d[t][s] qualifies when the orbits of s and t are free, no other
+    member of t's orbit hits s, and each pair (psi^k t, psi^k s) is a unit.
+    Orbits of the survivors are orbits of the slice, so its psi carries over.
+    """
     cached = getattr(sl, "_eq_reduced", None)
     if cached is None:
-        red = _EqReducer(sl, n)
-        sl.release_diffs()  # the reducer works on its own copies
-        red.reduce()
-        cached = red.export()
-        sl._eq_reduced = cached
+        dims = {i: len(basis) for i, basis in sl.basis.items() if basis}
+        psi = {i: sl.psi(i) for i in dims}
+        red = CancellingComplex(dims, {i: sl.take_diff(i) for i in dims if sl.dim(i + 1)})
+
+        def pairs(i, t, s):
+            orb_s = _orbit(psi[i], s)
+            if len(orb_s) != n:
+                return None
+            orb_t = _orbit(psi[i + 1], t)
+            if len(orb_t) != n:
+                return None
+            m = red.mats[i]
+            if any(m.get(t2, s) for t2 in orb_t if t2 != t):
+                return None
+            if any(m.get(t2, s2) not in (1, -1) for t2, s2 in zip(orb_t, orb_s)):
+                return None
+            return zip(orb_t, orb_s)
+
+        red.reduce(pairs)
+        dims, diffs, remap = red.export()
+        out_psi = {}
+        for i in dims:
+            p, rm = psi[i], remap[i]
+            out_psi[i] = [(rm[p[e][0]], p[e][1]) for e in rm]
+        cached = sl._eq_reduced = EquivariantSlice(dims, diffs, out_psi)
     return cached
 
 
@@ -316,8 +225,7 @@ def ext_groups(diagram: PeriodicDiagram, d: int, window: int | None = None) -> E
     beyond the window that no boundary effects reach it.
     """
     n = diagram.n
-    if n % d:
-        raise ValidationError(f"{d} does not divide the rotation order {n}")
+    _check_divisor(n, d)
     if window is None:
         window = 2 * diagram.ncross + 6
     if window < 0:
@@ -421,16 +329,7 @@ def hom_cohomology(diagram: PeriodicDiagram, module: str = "trivial") -> GradedA
         for i in dims:
             if i + 1 not in dims:
                 continue
-            d = sl.diff(i)
-            mat = SparseIntMatrix(dims[i + 1], dims[i])
-            for col, vec in enumerate(bases[i]):
-                img: dict[int, int] = {}
-                for k, a in vec.items():
-                    for r in d.cols.get(k, ()):
-                        img[r] = img.get(r, 0) + a * d.rows[r][k]
-                for r, v in img.items():
-                    if v and r in reps[i + 1]:
-                        mat.add(reps[i + 1][r], col, v)
+            mat = project(sl.diff(i), bases[i], dims[i + 1], reps[i + 1])
             if not mat.is_zero():
                 diffs[i] = mat
         hom = FreeComplex(dims, diffs).homology()
@@ -482,8 +381,7 @@ def rational_equivariant(diagram: PeriodicDiagram, d: int) -> dict:
     cyclotomic field}}; the former is always divisible by phi(d).
     """
     n = diagram.n
-    if n % d:
-        raise ValidationError(f"{d} does not divide the rotation order {n}")
+    _check_divisor(n, d)
     cx = build_complex(diagram)
     phi_d = euler_phi(d)
     dims: dict[tuple[int, int], int] = {}
@@ -504,12 +402,7 @@ def rational_equivariant(diagram: PeriodicDiagram, d: int) -> dict:
             if dmat is None:
                 ranks[i] = 0
                 continue
-            cols = SparseIntMatrix(red.dims[i + 1], len(iso[i]))
-            for c, vec in enumerate(iso[i]):
-                for k, a in vec.items():
-                    for r in dmat.cols.get(k, ()):
-                        cols.add(r, c, a * dmat.rows[r][k])
-            ranks[i] = int_rank(cols)
+            ranks[i] = int_rank(project(dmat, iso[i], red.dims[i + 1]))
         for i in red.dims:
             h = len(iso.get(i, ())) - ranks.get(i, 0) - ranks.get(i - 1, 0)
             if h:

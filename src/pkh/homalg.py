@@ -430,69 +430,56 @@ def reduce_unit_pivots(cx: FreeComplex) -> FreeComplex:
     Each cancellation removes an acyclic two-term direct summand, so integral
     homology (including torsion) is preserved exactly.
     """
-    red = _MutableComplex.from_complex(cx)
-    red.cancel_all_units()
-    return red.to_complex()
+    red = CancellingComplex(cx.dims, {i: m.copy() for i, m in cx.diffs.items()})
+    red.reduce(lambda i, t, s: ((t, s),))
+    dims, diffs, _ = red.export()
+    return FreeComplex({i: dims.get(i, 0) for i in cx.dims}, diffs)
 
 
-class _MutableComplex:
-    """Working form for Gaussian cancellation on a cochain complex."""
+def project(d: SparseIntMatrix, gens: list[dict[int, int]], nrows: int,
+            rows: dict[int, int] | None = None) -> SparseIntMatrix:
+    """The matrix of d on the sparse vectors `gens`, one column per vector.
 
-    def __init__(self):
-        self.alive: dict[int, set[int]] = {}
-        self.mats: dict[int, SparseIntMatrix] = {}
+    Without `rows`, row r of the result is row r of d(v).  With `rows`, only
+    the rows it lists are kept, renumbered by it: for an eigen basis, d(v)
+    is determined by its coefficients at the orbit representatives.
+    """
+    out = SparseIntMatrix(nrows, len(gens))
+    drows, dcols = d.rows, d.cols
+    for col, vec in enumerate(gens):
+        img: dict[int, int] = {}
+        for k, a in vec.items():
+            for r in dcols.get(k, ()):
+                img[r] = img.get(r, 0) + a * drows[r][k]
+        for r, v in img.items():
+            if v:
+                if rows is None:
+                    out.add(r, col, v)
+                elif r in rows:
+                    out.add(rows[r], col, v)
+    return out
 
-    @classmethod
-    def from_complex(cls, cx: FreeComplex) -> "_MutableComplex":
-        mc = cls()
-        mc.alive = {i: set(range(n)) for i, n in cx.dims.items()}
-        mc.mats = {i: m.copy() for i, m in cx.diffs.items() if not m.is_zero()}
-        return mc
 
-    def to_complex(self) -> FreeComplex:
-        # compact the surviving ids
-        remap = {i: {b: k for k, b in enumerate(sorted(s))} for i, s in self.alive.items()}
-        dims = {i: len(s) for i, s in self.alive.items()}
-        diffs: dict[int, SparseIntMatrix] = {}
-        for i, m in self.mats.items():
-            out = SparseIntMatrix(dims.get(i + 1, 0), dims.get(i, 0))
-            tgt, src = remap.get(i + 1, {}), remap.get(i, {})
-            for r, c, v in m.entries():
-                out.set(tgt[r], src[c], v)
-            if not out.is_zero():
-                diffs[i] = out
-        return FreeComplex(dims, diffs)
+class CancellingComplex:
+    """A cochain complex under Gaussian cancellation (algebraic Morse theory).
 
-    def _unit_candidates(self):
-        out = []
-        for i, m in self.mats.items():
-            cols = m.cols
-            for r, row in m.rows.items():
-                rl = len(row)
-                for c, v in row.items():
-                    if v == 1 or v == -1:
-                        out.append(((rl - 1) * (len(cols[c]) - 1), i, r, c))
-        out.sort()
-        return out
+    Basis elements keep their original ids until `export`; `alive` holds the
+    ids not yet cancelled and `mats[i]` the nonzero d_i on them.  Each engine
+    brings its own rule for which unit entries may be cancelled.
+    """
 
-    def cancel_all_units(self) -> None:
-        while True:
-            batch = self._unit_candidates()
-            if not batch:
-                return
-            for _, i, r, c in batch:
-                m = self.mats.get(i)
-                if m is None:
-                    continue
-                v = m.get(r, c)
-                if v == 1 or v == -1:
-                    self.cancel(i, r, c)
+    def __init__(self, dims: dict[int, int], mats: dict[int, SparseIntMatrix]):
+        """Takes ownership of `mats`: they are updated in place."""
+        self.alive: dict[int, set[int]] = {i: set(range(n)) for i, n in dims.items()}
+        self.mats = {i: m for i, m in mats.items() if m.rows}
 
     def cancel(self, i: int, t: int, s: int) -> None:
         """Cancel the unit entry d_i[t][s]; t in degree i+1, s in degree i."""
         m = self.mats[i]
         rows, cols = m.rows, m.cols
         lam = rows[t][s]
+        if lam != 1 and lam != -1:
+            raise InvariantError(f"cancelling a non-unit entry {lam}")
         prow = [(c, b) for c, b in rows[t].items() if c != s]
         pcol = [(r, rows[r][s]) for r in cols.get(s, ()) if r != t]
         # Schur complement on d_i; lam in {1,-1} so 1/lam == lam
@@ -520,7 +507,7 @@ class _MutableComplex:
             del self.mats[i]
         below = self.mats.get(i - 1)
         if below is not None:
-            for c in list(below.rows.get(s, {}).keys()):
+            for c in list(below.rows.get(s, {})):
                 below._drop(s, c)
             if not below.rows:
                 del self.mats[i - 1]
@@ -532,6 +519,54 @@ class _MutableComplex:
                 del self.mats[i + 1]
         self.alive[i].discard(s)
         self.alive[i + 1].discard(t)
+
+    def reduce(self, pairs) -> None:
+        """Cancel in rounds until a round cancels nothing.
+
+        A round lists every unit entry, least Markowitz fill estimate first.
+        For each one still a unit, `pairs(i, t, s)` returns the (t, s)
+        pairs of d_i to cancel together, or None to leave it.
+        """
+        while True:
+            batch = []
+            for i, m in self.mats.items():
+                cols = m.cols
+                for t, row in m.rows.items():
+                    rl = len(row)
+                    for s, v in row.items():
+                        if v == 1 or v == -1:
+                            batch.append(((rl - 1) * (len(cols[s]) - 1), i, t, s))
+            batch.sort()
+            progress = False
+            for _, i, t, s in batch:
+                m = self.mats.get(i)
+                if m is None or m.get(t, s) not in (1, -1):
+                    continue
+                group = pairs(i, t, s)
+                if group is None:
+                    continue
+                for t2, s2 in group:
+                    self.cancel(i, t2, s2)
+                progress = True
+            if not progress:
+                return
+
+    def export(self):
+        """(dims, diffs, remap) on the surviving basis, renumbered in order.
+
+        dims omits degrees with nothing left; remap[i] sends each surviving
+        original id of degree i to its new index.
+        """
+        remap = {i: {e: k for k, e in enumerate(sorted(s))} for i, s in self.alive.items()}
+        dims = {i: len(s) for i, s in self.alive.items() if s}
+        diffs: dict[int, SparseIntMatrix] = {}
+        for i, m in self.mats.items():
+            out = SparseIntMatrix(dims.get(i + 1, 0), dims.get(i, 0))
+            tgt, src = remap[i + 1], remap[i]
+            for r, c, v in m.entries():
+                out.set(tgt[r], src[c], v)
+            diffs[i] = out
+        return dims, diffs, remap
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .complexes import DiagramComplex, build_complex, khovanov_homology
 from .diagram import Crossing, PeriodicDiagram, QuotientTangle
 from .equivariant import _eigen_basis
 from .errors import InvariantError, ValidationError
-from .homalg import SparseIntMatrix, int_rank
+from .homalg import CancellingComplex, SparseIntMatrix, int_rank, project
 
 # ---------------------------------------------------------------------------
 # resolved diagrams
@@ -313,15 +313,15 @@ def _filtered_reduce(dims, levels, mats):
 
     Such a cancellation happens inside one associated-graded piece, so it is
     a strictly filtered homotopy equivalence: every page from E_1 onward is
-    unchanged while the complex shrinks to roughly E_1 size.
+    unchanged while the complex shrinks to roughly E_1 size.  Takes
+    ownership of `mats`.
     """
-    alive = {m: set(range(n)) for m, n in dims.items()}
-    work = {m: mat.copy() for m, mat in mats.items()}
+    red = CancellingComplex(dims, mats)
     progress = True
     while progress:
         progress = False
-        for m in list(work):
-            mat = work.get(m)
+        for m in list(red.mats):
+            mat = red.mats.get(m)
             if mat is None:
                 continue
             lv_s, lv_t = levels.get(m, []), levels.get(m + 1, [])
@@ -332,60 +332,11 @@ def _filtered_reduce(dims, levels, mats):
                 for s, v in list(row.items()):
                     if v not in (1, -1) or lv_t[t] != lv_s[s] or mat.get(t, s) != v:
                         continue
-                    _scalar_cancel(work, m, t, s)
-                    alive[m].discard(s)
-                    alive[m + 1].discard(t)
+                    red.cancel(m, t, s)
                     progress = True
                     break
-    remap = {m: {e: k for k, e in enumerate(sorted(s))} for m, s in alive.items()}
-    new_dims = {m: len(s) for m, s in alive.items() if s}
-    new_levels = {m: [levels[m][e] for e in sorted(s)] for m, s in alive.items() if s}
-    new_mats = {}
-    for m, mat in work.items():
-        if not mat.rows:
-            continue
-        out = SparseIntMatrix(new_dims.get(m + 1, 0), new_dims.get(m, 0))
-        for r, c, v in mat.entries():
-            out.set(remap[m + 1][r], remap[m][c], v)
-        if not out.is_zero():
-            new_mats[m] = out
-    return new_dims, new_levels, new_mats
-
-
-def _scalar_cancel(work, m, t, s):
-    mat = work[m]
-    rows, cols = mat.rows, mat.cols
-    lam = rows[t][s]
-    prow = [(c, b) for c, b in rows[t].items() if c != s]
-    pcol = [(r, rows[r][s]) for r in cols.get(s, ()) if r != t]
-    for r, a in pcol:
-        coeff = a * lam
-        row = rows.setdefault(r, {})
-        for c, b in prow:
-            new = row.get(c, 0) - coeff * b
-            if new:
-                row[c] = new
-                cols.setdefault(c, set()).add(r)
-            elif c in row:
-                del row[c]
-                col = cols[c]
-                col.discard(r)
-                if not col:
-                    del cols[c]
-        if not row:
-            del rows[r]
-    for c, _ in prow:
-        mat._drop(t, c)
-    for r in list(cols.get(s, ())):
-        mat._drop(r, s)
-    below = work.get(m - 1)
-    if below is not None:
-        for c in list(below.rows.get(s, {})):
-            below._drop(s, c)
-    above = work.get(m + 1)
-    if above is not None:
-        for r in list(above.cols.get(t, ())):
-            above._drop(r, t)
+    dims, mats, remap = red.export()
+    return dims, {m: [levels[m][e] for e in remap[m]] for m in dims}, mats
 
 
 class _FilteredSlice:
@@ -440,7 +391,7 @@ def _build_slices(bic: OrbitResolutionBicomplex, sector: int | None):
         if sector is None:
             dims = {i: len(b) for i, b in sl.basis.items() if b}
             levels = {i: [bic.level(b) for b, _ in basis] for i, basis in sl.basis.items()}
-            mats = {i: sl.diff(i) for i in dims if i + 1 in dims}
+            mats = {i: sl.take_diff(i) for i in dims if i + 1 in dims}
         else:
             if D.n != 2:
                 raise ValidationError("sectors are defined for rotation order 2")
@@ -456,22 +407,10 @@ def _build_slices(bic: OrbitResolutionBicomplex, sector: int | None):
                     levels[i] = [bic.level(basis[min(vec)][0]) for vec in g]
                 gens[i], reps[i] = g, rep
             for i in dims:
-                if i + 1 not in dims:
-                    continue
-                d = sl.diff(i)
-                mat = SparseIntMatrix(dims[i + 1], dims[i])
-                for col, vec in enumerate(gens[i]):
-                    img: dict[int, int] = {}
-                    for k, a in vec.items():
-                        for r in d.cols.get(k, ()):
-                            img[r] = img.get(r, 0) + a * d.rows[r][k]
-                    for r, v in img.items():
-                        if v and r in reps[i + 1]:
-                            mat.add(reps[i + 1][r], col, v)
-                mats[i] = mat
+                if i + 1 in dims:
+                    mats[i] = project(sl.take_diff(i), gens[i], dims[i + 1], reps[i + 1])
         if dims:
             slices[j] = _FilteredSlice(dims, levels, mats, L)
-        sl.release_diffs()  # the filtered slice works on its own copies
     return slices
 
 

@@ -73,8 +73,17 @@ class TestCommands:
         assert len(odd) == 6
 
     def test_ekh_rejects_bad_divisor(self, capsys, corpus_dir):
-        code, _ = run_cli(capsys, "ekh", str(corpus_dir / "hopf.json"), "--d", "3")
-        assert code == 1
+        hopf = str(corpus_dir / "hopf.json")
+        cases = [(cmd, hopf, "--d", d) for cmd in ("ekh", "poly") for d in ("3", "0", "-1")]
+        cases.append(("oracle", "trivial", "--p", "2", "--n", "1", "--k", "1",
+                      "--f", "0", "--u", "0", "--window", "-1"))
+        for argv in cases:
+            code = main(list(argv))
+            out, err = capsys.readouterr()
+            assert code == 1, argv
+            assert out == "", argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+            assert "Traceback" not in err, argv
 
     def test_poly_equivariant(self, capsys, corpus_dir):
         code, out = run_cli(capsys, "poly", str(corpus_dir / "t4_2.json"), "--d", "2")

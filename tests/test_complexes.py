@@ -196,6 +196,24 @@ class TestEdgeTables:
                     assert [(c, list(col)) for c, col in got.cols.items()] == \
                         [(c, list(col)) for c, col in want.cols.items()], (name, j, i)
 
+    def test_take_diff_hands_over_the_matrix(self):
+        cx = build_complex(corpus.build("t3_2"))
+        fresh = build_complex(corpus.build("t3_2"))
+        for j in cx.quantum_range():
+            sl = cx.slice(j)
+            for i in sl.basis:
+                if i + 1 not in sl.basis:
+                    continue
+                taken = sl.take_diff(i)
+                for r, c, _ in list(taken.entries()):
+                    taken.add(r, c, 3)
+                taken.set(0, 0, 7)
+                want = fresh.slice(j).diff(i)
+                again = sl.diff(i)
+                assert again is not taken
+                assert [(r, list(row.items())) for r, row in again.rows.items()] == \
+                    [(r, list(row.items())) for r, row in want.rows.items()], (j, i)
+
     def test_one_complex_per_diagram(self, diagrams):
         d = diagrams("hopf")
         assert build_complex(d) is build_complex(d)

@@ -2,9 +2,13 @@ import random
 
 import pytest
 
+from pkh import corpus
+from pkh.complexes import build_complex
+from pkh.equivariant import EquivariantSlice, equivariant_reduce
 from pkh.homalg import (FreeComplex, GroupRingElt, SparseIntMatrix, cofactor,
                         cyclotomic, eval_group_ring, idempotent_int_scaled,
-                        int_rank, norm_element, poly_mul, rational_idempotents,
+                        int_rank, norm_element, poly_mul, project,
+                        rational_idempotents, reduce_unit_pivots,
                         smith_normal_form)
 
 
@@ -281,3 +285,219 @@ class TestRank:
                             a[r][k] -= f * a[rank][k]
                 rank += 1
             assert int_rank(dense(rows)) == rank
+
+
+# ---------------------------------------------------------------------------
+# the shared cancellation kernel against the reducers it replaced
+
+
+def _schur_cancel(mats, i, t, s):
+    """The Schur-complement step each reference reducer used, written out."""
+    m = mats[i]
+    rows, cols = m.rows, m.cols
+    lam = rows[t][s]
+    assert lam in (1, -1)
+    prow = [(c, b) for c, b in rows[t].items() if c != s]
+    pcol = [(r, rows[r][s]) for r in cols.get(s, ()) if r != t]
+    for r, a in pcol:
+        coeff = a * lam
+        row = rows.setdefault(r, {})
+        for c, b in prow:
+            new = row.get(c, 0) - coeff * b
+            if new:
+                row[c] = new
+                cols.setdefault(c, set()).add(r)
+            elif c in row:
+                del row[c]
+                col = cols[c]
+                col.discard(r)
+                if not col:
+                    del cols[c]
+        if not row:
+            del rows[r]
+    for c, _ in prow:
+        m._drop(t, c)
+    for r in list(cols.get(s, ())):
+        m._drop(r, s)
+    below = mats.get(i - 1)
+    if below is not None:
+        for c in list(below.rows.get(s, {})):
+            below._drop(s, c)
+    above = mats.get(i + 1)
+    if above is not None:
+        for r in list(above.cols.get(t, ())):
+            above._drop(r, t)
+
+
+def _unit_batch(mats):
+    out = []
+    for i, m in mats.items():
+        for r, row in m.rows.items():
+            for c, v in row.items():
+                if v == 1 or v == -1:
+                    out.append(((len(row) - 1) * (len(m.cols[c]) - 1), i, r, c))
+    out.sort()
+    return out
+
+
+def _compact(alive, mats, keep_empty):
+    remap = {i: {b: k for k, b in enumerate(sorted(s))} for i, s in alive.items()}
+    dims = {i: len(s) for i, s in alive.items() if s or keep_empty}
+    diffs = {}
+    for i, m in mats.items():
+        out = SparseIntMatrix(dims.get(i + 1, 0), dims.get(i, 0))
+        for r, c, v in m.entries():
+            out.set(remap[i + 1][r], remap[i][c], v)
+        if not out.is_zero():
+            diffs[i] = out
+    return dims, diffs, remap
+
+
+def reference_unit_reduction(cx):
+    """Unit-pivot reduction in rounds, one unit at a time."""
+    alive = {i: set(range(n)) for i, n in cx.dims.items()}
+    mats = {i: m.copy() for i, m in cx.diffs.items() if not m.is_zero()}
+    while True:
+        batch = _unit_batch(mats)
+        if not batch:
+            break
+        for _, i, r, c in batch:
+            m = mats.get(i)
+            if m is not None and m.get(r, c) in (1, -1):
+                _schur_cancel(mats, i, r, c)
+                alive[i].discard(c)
+                alive[i + 1].discard(r)
+                for k in (i - 1, i, i + 1):
+                    if k in mats and mats[k].is_zero():
+                        del mats[k]
+    dims, diffs, _ = _compact(alive, mats, keep_empty=True)
+    return FreeComplex(dims, diffs)
+
+
+def reference_orbit_reduction(sl, n):
+    """Free-orbit reduction of a slice, with the action kept as a dict."""
+    alive, mats, psi = {}, {}, {}
+    for i, basis in sl.basis.items():
+        if not basis:
+            continue
+        alive[i] = set(range(len(basis)))
+        psi[i] = dict(enumerate(sl.psi(i)))
+        if sl.dim(i + 1) and not sl.diff(i).is_zero():
+            mats[i] = sl.diff(i).copy()
+
+    def orbit(i, e):
+        out, cur = [e], psi[i][e][0]
+        while cur != e:
+            out.append(cur)
+            cur = psi[i][cur][0]
+        return out
+
+    progress = True
+    while progress:
+        progress = False
+        for _, i, t, s in _unit_batch(mats):
+            m = mats.get(i)
+            if m is None or m.get(t, s) not in (1, -1):
+                continue
+            if s not in psi[i] or t not in psi[i + 1]:
+                continue
+            orb_s, orb_t = orbit(i, s), orbit(i + 1, t)
+            if len(orb_s) != n or len(orb_t) != n:
+                continue
+            if any(m.get(t2, s) for t2 in orb_t if t2 != t):
+                continue
+            if any(m.get(t2, s2) not in (1, -1) for t2, s2 in zip(orb_t, orb_s)):
+                continue
+            for t2, s2 in zip(orb_t, orb_s):
+                _schur_cancel(mats, i, t2, s2)
+            for s2 in orb_s:
+                alive[i].discard(s2)
+                del psi[i][s2]
+            for t2 in orb_t:
+                alive[i + 1].discard(t2)
+                del psi[i + 1][t2]
+            for k in (i - 1, i, i + 1):
+                if k in mats and mats[k].is_zero():
+                    del mats[k]
+            progress = True
+    dims, diffs, remap = _compact(alive, mats, keep_empty=False)
+    out_psi = {}
+    for i, table in psi.items():
+        if alive[i]:
+            rm = remap[i]
+            lst = [(0, 1)] * len(rm)
+            for e, (img, sg) in table.items():
+                lst[rm[e]] = (rm[img], sg)
+            out_psi[i] = lst
+    return EquivariantSlice(dims, diffs, out_psi)
+
+
+def entries_in_order(m):
+    return (m.nrows, m.ncols, [(r, list(row.items())) for r, row in m.rows.items()])
+
+
+def assert_same_complex(got_dims, got_diffs, want_dims, want_diffs, where):
+    assert list(got_dims.items()) == list(want_dims.items()), where
+    assert list(got_diffs) == list(want_diffs), where
+    for i, m in want_diffs.items():
+        assert entries_in_order(got_diffs[i]) == entries_in_order(m), (where, i)
+
+
+SMALL = [name for name in corpus.corpus_names() if corpus.build(name).ncross <= 8]
+
+
+class TestCancellationKernel:
+    """Unit and orbit reduction give the old reducers' results, entry for entry."""
+
+    def test_unit_reduction_matches_reference(self):
+        assert "t5_2" in SMALL and "t8_2_flat" in SMALL
+        rng = random.Random(29)
+        for _ in range(20):
+            cx = _random_complex(rng)
+            want = reference_unit_reduction(cx)
+            got = reduce_unit_pivots(cx)
+            assert_same_complex(got.dims, got.diffs, want.dims, want.diffs, "random")
+        for name in SMALL:
+            # a fresh diagram, so no reduction cached by another test is reused
+            cx = build_complex(corpus.build(name))
+            for j in cx.quantum_range():
+                sl = cx.slice(j)
+                if not sl.basis:
+                    continue
+                full = sl.to_free_complex()
+                want = reference_unit_reduction(full)
+                got = reduce_unit_pivots(full)
+                assert_same_complex(got.dims, got.diffs, want.dims, want.diffs, (name, j))
+
+    def test_orbit_reduction_matches_reference(self):
+        for name in SMALL:
+            D = corpus.build(name)
+            cx = build_complex(D)
+            for j in cx.quantum_range():
+                sl = cx.slice(j)
+                if not sl.basis:
+                    continue
+                want = reference_orbit_reduction(sl, D.n)
+                got = equivariant_reduce(sl, D.n)
+                assert_same_complex(got.dims, got.diffs, want.dims, want.diffs, (name, j))
+                assert list(got.psi.items()) == list(want.psi.items()), (name, j)
+
+    def test_project_matches_dense_product(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+            rows = [[rng.randint(-3, 3) if rng.random() < 0.4 else 0
+                     for _ in range(nc)] for _ in range(nr)]
+            gens = [{k: rng.choice((-2, -1, 1, 2)) for k in rng.sample(range(nc), rng.randint(0, nc))}
+                    for _ in range(rng.randint(0, 4))]
+            want = [[sum(rows[r][k] * v.get(k, 0) for k in range(nc)) for v in gens]
+                    for r in range(nr)]
+            keep = rng.sample(range(nr), rng.randint(0, nr))
+            for got, rows_want in ((project(dense(rows), gens, nr), want),
+                                   (project(dense(rows), gens, len(keep),
+                                            {r: k for k, r in enumerate(keep)}),
+                                    [want[r] for r in keep])):
+                assert (got.nrows, got.ncols) == (len(rows_want), len(gens))
+                assert got.to_dense() == rows_want
+                assert got.cols == {c: {r for r, row in got.rows.items() if c in row}
+                                    for c in range(len(gens)) if any(row[c] for row in rows_want)}

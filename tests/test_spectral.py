@@ -1,7 +1,9 @@
 import pytest
 
+from pkh import corpus, spectral
 from pkh.complexes import khovanov_homology, khovanov_polynomial
 from pkh.errors import ValidationError
+from pkh.homalg import SparseIntMatrix
 from pkh.spectral import (build_filtration, crossing_orbit, e1_oracle, e1_page,
                           einf_abutment_ok, equivariant_e1_2periodic,
                           resolve_diagram, run_pages)
@@ -222,3 +224,104 @@ class TestEquivariantPages:
     def test_sector_requires_orbit(self, diagrams):
         with pytest.raises(ValidationError):
             equivariant_e1_2periodic(diagrams("t4_2"), (0, 1), 2)
+
+
+def reference_filtered_reduce(dims, levels, mats):
+    """Equal-level unit cancellation, first found first, on copies of mats."""
+    alive = {m: set(range(n)) for m, n in dims.items()}
+    work = {m: mat.copy() for m, mat in mats.items()}
+    progress = True
+    while progress:
+        progress = False
+        for m in list(work):
+            mat = work[m]
+            lv_s, lv_t = levels.get(m, []), levels.get(m + 1, [])
+            for t in list(mat.rows):
+                row = mat.rows.get(t)
+                if not row:
+                    continue
+                for s, v in list(row.items()):
+                    if v not in (1, -1) or lv_t[t] != lv_s[s] or mat.get(t, s) != v:
+                        continue
+                    _reference_cancel(work, m, t, s)
+                    alive[m].discard(s)
+                    alive[m + 1].discard(t)
+                    progress = True
+                    break
+    remap = {m: {e: k for k, e in enumerate(sorted(s))} for m, s in alive.items()}
+    new_dims = {m: len(s) for m, s in alive.items() if s}
+    new_levels = {m: [levels[m][e] for e in sorted(s)] for m, s in alive.items() if s}
+    new_mats = {}
+    for m, mat in work.items():
+        out = SparseIntMatrix(new_dims.get(m + 1, 0), new_dims.get(m, 0))
+        for r, c, v in mat.entries():
+            out.set(remap[m + 1][r], remap[m][c], v)
+        if not out.is_zero():
+            new_mats[m] = out
+    return new_dims, new_levels, new_mats
+
+
+def _reference_cancel(work, m, t, s):
+    mat = work[m]
+    rows, cols = mat.rows, mat.cols
+    lam = rows[t][s]
+    prow = [(c, b) for c, b in rows[t].items() if c != s]
+    pcol = [(r, rows[r][s]) for r in cols.get(s, ()) if r != t]
+    for r, a in pcol:
+        coeff = a * lam
+        row = rows.setdefault(r, {})
+        for c, b in prow:
+            new = row.get(c, 0) - coeff * b
+            if new:
+                row[c] = new
+                cols.setdefault(c, set()).add(r)
+            elif c in row:
+                del row[c]
+                col = cols[c]
+                col.discard(r)
+                if not col:
+                    del cols[c]
+        if not row:
+            del rows[r]
+    for c, _ in prow:
+        mat._drop(t, c)
+    for r in list(cols.get(s, ())):
+        mat._drop(r, s)
+    if m - 1 in work:
+        for c in list(work[m - 1].rows.get(s, {})):
+            work[m - 1]._drop(s, c)
+    if m + 1 in work:
+        for r in list(work[m + 1].cols.get(t, ())):
+            work[m + 1]._drop(r, t)
+
+
+class TestFilteredReduction:
+    def test_matches_reference_on_small_corpus(self, monkeypatch):
+        """Same dims, levels and matrices, entry for entry, as the old reducer."""
+        real = spectral._filtered_reduce
+        seen = []
+
+        def checked(dims, levels, mats):
+            want = reference_filtered_reduce(dims, levels, mats)
+            got = real(dims, levels, mats)
+            assert list(got[0].items()) == list(want[0].items())
+            assert list(got[1].items()) == list(want[1].items())
+            assert list(got[2]) == list(want[2])
+            for m, mat in want[2].items():
+                assert (got[2][m].nrows, got[2][m].ncols) == (mat.nrows, mat.ncols)
+                assert [(r, list(row.items())) for r, row in got[2][m].rows.items()] == \
+                    [(r, list(row.items())) for r, row in mat.rows.items()]
+            seen.append(sum(want[0].values()) < sum(dims.values()))
+            return got
+
+        monkeypatch.setattr(spectral, "_filtered_reduce", checked)
+        for name in corpus.corpus_names():
+            D = corpus.build(name)
+            if not 0 < D.ncross <= 8:
+                continue
+            for X in {crossing_orbit(D, 0), crossing_orbit(D, D.ncross - 1)}:
+                run_pages(D, X)
+                if D.n == 2:
+                    run_pages(D, X, sector=1)
+                    run_pages(D, X, sector=2)
+        assert any(seen)
