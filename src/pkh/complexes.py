@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .diagram import PeriodicDiagram, _as_state
 from .errors import InvariantError, ValidationError
-from .homalg import FreeComplex, SparseIntMatrix
+from .homalg import FreeComplex, SparseIntMatrix, reduce_unit_pivots
 from .polynomials import BiPolynomial, LaurentPoly
 
 
@@ -295,14 +295,6 @@ class SliceComplex:
         self._diffs.pop(i, None)
         return m
 
-    def release_diffs(self) -> None:
-        """Forget the built differentials; `diff` rebuilds them on demand.
-
-        Callers that have reduced a slice release it, so that the process
-        holds one slice's matrices at a time instead of the whole complex's.
-        """
-        self._diffs.clear()
-
     def psi(self, i: int) -> list[tuple[int, int]]:
         """Generator action as a signed permutation: index -> (index, sign)."""
         p = self._psi.get(i)
@@ -368,8 +360,9 @@ def khovanov_homology(diagram: PeriodicDiagram, ring: str = "Z") -> GradedAbGrou
             sl = cx.slice(j)
             if not sl.basis:
                 continue
-            hom = sl.to_free_complex().homology(ring=ring)
-            sl.release_diffs()
+            dims = {i: len(b) for i, b in sl.basis.items() if b}
+            diffs = {i: sl.take_diff(i) for i in dims if i + 1 in dims}
+            hom = reduce_unit_pivots(FreeComplex(dims, diffs)).homology(ring=ring, prereduce=False)
             for i, grp in hom.items():
                 out[(i, j)] = grp
         groups = cx._homology[ring] = GradedAbGroup.from_dict(out)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import InvariantError
+from .errors import InvariantError, ValidationError
 
 # ---------------------------------------------------------------------------
 # sparse integer matrices
@@ -402,8 +402,17 @@ class FreeComplex:
         return m
 
     def homology(self, ring: str = "Z", prereduce: bool = True) -> dict[int, tuple[int, tuple[int, ...]]]:
-        """Group H^i per degree as (free rank, torsion invariant factors)."""
-        cx = reduce_unit_pivots(self) if prereduce else self
+        """Group H^i per degree as (free rank, torsion invariant factors).
+
+        ring 'Z' gives the groups, 'Q' the free ranks only.  The complex is
+        left as it was: the unit reduction works on copies of its matrices.
+        """
+        if ring not in ("Z", "Q"):
+            raise ValidationError("ring must be 'Z' or 'Q'")
+        cx = self
+        if prereduce:
+            copies = {i: m.copy() for i, m in self.diffs.items()}
+            cx = reduce_unit_pivots(FreeComplex(self.dims, copies))
         out: dict[int, tuple[int, tuple[int, ...]]] = {}
         ranks: dict[int, int] = {}
         torsions: dict[int, tuple[int, ...]] = {}
@@ -428,9 +437,13 @@ def reduce_unit_pivots(cx: FreeComplex) -> FreeComplex:
     """Homotopy-equivalent compression by cancelling +-1 differential entries.
 
     Each cancellation removes an acyclic two-term direct summand, so integral
-    homology (including torsion) is preserved exactly.
+    homology (including torsion) is preserved exactly.  Takes ownership of
+    `cx.diffs`: the matrices are reduced in place and are not valid
+    afterwards, so a caller that keeps `cx` passes copies.  Units are
+    cancelled one at a time, in rounds ordered by (Markowitz fill estimate,
+    degree, row, column).
     """
-    red = CancellingComplex(cx.dims, {i: m.copy() for i, m in cx.diffs.items()})
+    red = CancellingComplex(cx.dims, cx.diffs)
     red.reduce(lambda i, t, s: ((t, s),))
     dims, diffs, _ = red.export()
     return FreeComplex({i: dims.get(i, 0) for i in cx.dims}, diffs)
@@ -463,84 +476,132 @@ def project(d: SparseIntMatrix, gens: list[dict[int, int]], nrows: int,
 class CancellingComplex:
     """A cochain complex under Gaussian cancellation (algebraic Morse theory).
 
+    Takes ownership of the matrices it is given and updates them in place.
     Basis elements keep their original ids until `export`; `alive` holds the
     ids not yet cancelled and `mats[i]` the nonzero d_i on them.  Each engine
-    brings its own rule for which unit entries may be cancelled.
+    brings its own rule for which unit entries may be cancelled; `reduce`
+    offers them in rounds ordered by (Markowitz fill estimate, degree, row,
+    column).
     """
 
     def __init__(self, dims: dict[int, int], mats: dict[int, SparseIntMatrix]):
-        """Takes ownership of `mats`: they are updated in place."""
         self.alive: dict[int, set[int]] = {i: set(range(n)) for i, n in dims.items()}
         self.mats = {i: m for i, m in mats.items() if m.rows}
 
     def cancel(self, i: int, t: int, s: int) -> None:
-        """Cancel the unit entry d_i[t][s]; t in degree i+1, s in degree i."""
-        m = self.mats[i]
+        """Cancel the unit entry d_i[t][s]; t in degree i+1, s in degree i.
+
+        Rows keep their keys' order: an update changes entries in place and
+        appends fill-in in the order of row t.  No row is created, so the
+        order in which a column's rows are visited reaches no result.
+        """
+        mats = self.mats
+        m = mats[i]
         rows, cols = m.rows, m.cols
-        lam = rows[t][s]
+        prow = rows[t]
+        lam = prow[s]
         if lam != 1 and lam != -1:
             raise InvariantError(f"cancelling a non-unit entry {lam}")
-        prow = [(c, b) for c, b in rows[t].items() if c != s]
-        pcol = [(r, rows[r][s]) for r in cols.get(s, ()) if r != t]
+        del rows[t]
+        del prow[s]
         # Schur complement on d_i; lam in {1,-1} so 1/lam == lam
-        for r, a in pcol:
-            coeff = a * lam
-            row = rows.setdefault(r, {})
-            for c, b in prow:
-                new = row.get(c, 0) - coeff * b
-                if new:
-                    row[c] = new
-                    cols.setdefault(c, set()).add(r)
-                elif c in row:
-                    del row[c]
-                    col = cols[c]
-                    col.discard(r)
-                    if not col:
-                        del cols[c]
+        for r in cols.pop(s):
+            if r == t:
+                continue
+            row = rows[r]
+            coeff = -lam * row.pop(s)
+            for c, b in prow.items():
+                old = row.get(c)
+                if old is None:
+                    row[c] = coeff * b
+                    cols[c].add(r)
+                else:
+                    new = old + coeff * b
+                    if new:
+                        row[c] = new
+                    else:
+                        del row[c]
+                        cols[c].discard(r)
             if not row:
                 del rows[r]
-        for c, _ in prow:
-            m._drop(t, c)
-        for r in list(cols.get(s, ())):
-            m._drop(r, s)
-        if not m.rows:
-            del self.mats[i]
-        below = self.mats.get(i - 1)
+        for c in prow:
+            col = cols[c]
+            col.discard(t)
+            if not col:
+                del cols[c]
+        if not rows:
+            del mats[i]
+        below = mats.get(i - 1)
         if below is not None:
-            for c in list(below.rows.get(s, {})):
-                below._drop(s, c)
-            if not below.rows:
-                del self.mats[i - 1]
-        above = self.mats.get(i + 1)
+            brow = below.rows.pop(s, None)
+            if brow is not None:
+                bcols = below.cols
+                for c in brow:
+                    col = bcols[c]
+                    col.discard(s)
+                    if not col:
+                        del bcols[c]
+                if not below.rows:
+                    del mats[i - 1]
+        above = mats.get(i + 1)
         if above is not None:
-            for r in list(above.cols.get(t, ())):
-                above._drop(r, t)
-            if not above.rows:
-                del self.mats[i + 1]
+            acol = above.cols.pop(t, None)
+            if acol is not None:
+                arows = above.rows
+                for r in acol:
+                    row = arows[r]
+                    del row[t]
+                    if not row:
+                        del arows[r]
+                if not arows:
+                    del mats[i + 1]
         self.alive[i].discard(s)
         self.alive[i + 1].discard(t)
 
     def reduce(self, pairs) -> None:
         """Cancel in rounds until a round cancels nothing.
 
-        A round lists every unit entry, least Markowitz fill estimate first.
-        For each one still a unit, `pairs(i, t, s)` returns the (t, s)
-        pairs of d_i to cancel together, or None to leave it.
+        A round lists every unit entry in the order (Markowitz fill estimate,
+        degree, row, column), least first.  For each one still a unit,
+        `pairs(i, t, s)` returns the (t, s) pairs of d_i to cancel together,
+        or None to leave it.  A candidate is one int packing those four keys
+        with bit widths taken from the round's matrices, so a plain int sort
+        gives that order.
         """
-        while True:
+        mats = self.mats
+        while mats:
+            lo = min(mats)
+            sbits = max(m.ncols for m in mats.values()).bit_length()
+            tbits = max(m.nrows for m in mats.values()).bit_length()
+            ibits = (max(mats) - lo).bit_length()
+            ishift = sbits + tbits
+            fshift = ishift + ibits
+            smask, tmask, imask = (1 << sbits) - 1, (1 << tbits) - 1, (1 << ibits) - 1
             batch = []
-            for i, m in self.mats.items():
+            append = batch.append
+            for i, m in mats.items():
                 cols = m.cols
+                base = (i - lo) << ishift
                 for t, row in m.rows.items():
-                    rl = len(row)
+                    rl = len(row) - 1
+                    key = base | (t << sbits)
                     for s, v in row.items():
                         if v == 1 or v == -1:
-                            batch.append(((rl - 1) * (len(cols[s]) - 1), i, t, s))
+                            append((rl * (len(cols[s]) - 1) << fshift) | key | s)
             batch.sort()
             progress = False
-            for _, i, t, s in batch:
-                m = self.mats.get(i)
-                if m is None or m.get(t, s) not in (1, -1):
+            for key in batch:
+                i = ((key >> ishift) & imask) + lo
+                t = (key >> sbits) & tmask
+                s = key & smask
+                m = mats.get(i)
+                if m is None:
+                    continue
+                row = m.rows.get(t)
+                if row is None:
+                    continue
+                v = row.get(s)
+                if v != 1 and v != -1:
                     continue
                 group = pairs(i, t, s)
                 if group is None:

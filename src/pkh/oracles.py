@@ -231,6 +231,8 @@ def trivial_link_ekh(p: int, n: int, k: int, f: int, u: int,
         raise ValidationError("p must be prime")
     if not 0 <= u <= n:
         raise ValidationError("need 0 <= u <= n")
+    if k < 0 or f < 0:
+        raise ValidationError("k and f must be non-negative")
     if window < 0:
         raise ValidationError("window must be non-negative")
     out: dict[tuple[int, int], list] = {}

@@ -77,6 +77,8 @@ class TestCommands:
         cases = [(cmd, hopf, "--d", d) for cmd in ("ekh", "poly") for d in ("3", "0", "-1")]
         cases.append(("oracle", "trivial", "--p", "2", "--n", "1", "--k", "1",
                       "--f", "0", "--u", "0", "--window", "-1"))
+        cases.append(("oracle", "trivial", "--p", "2", "--n", "1", "--k", "-1",
+                      "--f", "1", "--u", "0"))
         for argv in cases:
             code = main(list(argv))
             out, err = capsys.readouterr()

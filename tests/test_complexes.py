@@ -9,7 +9,7 @@ from pkh.complexes import (GradedAbGroup, build_complex, edge_sign,
                            khovanov_polynomial)
 from pkh.diagram import diagram_from_dict
 from pkh.errors import ValidationError
-from pkh.homalg import SparseIntMatrix
+from pkh.homalg import SparseIntMatrix, reduce_unit_pivots
 from pkh.polynomials import BiPolynomial, LaurentPoly
 
 
@@ -213,6 +213,38 @@ class TestEdgeTables:
                 assert again is not taken
                 assert [(r, list(row.items())) for r, row in again.rows.items()] == \
                     [(r, list(row.items())) for r, row in want.rows.items()], (j, i)
+
+    def test_homology_leaves_rebuildable_differentials(self):
+        # khovanov_homology reduces the slices' own matrices in place
+        cx = build_complex(corpus.build("t4_2"))
+        fresh = build_complex(corpus.build("t4_2"))
+        khovanov_homology(cx.D, "Z")
+        for j in cx.quantum_range():
+            sl = cx.slice(j)
+            for i in sl.basis:
+                if i + 1 not in sl.basis:
+                    continue
+                got, want = sl.diff(i), fresh.slice(j).diff(i)
+                assert (got.nrows, got.ncols) == (want.nrows, want.ncols), (j, i)
+                assert [(r, list(row.items())) for r, row in got.rows.items()] == \
+                    [(r, list(row.items())) for r, row in want.rows.items()], (j, i)
+                assert got.cols == want.cols, (j, i)
+
+    def test_one_unit_reduction_per_slice(self, monkeypatch):
+        calls = []
+
+        def counted(cx):
+            calls.append(sum(cx.dims.values()))
+            return reduce_unit_pivots(cx)
+
+        monkeypatch.setattr("pkh.complexes.reduce_unit_pivots", counted)
+        cx = build_complex(corpus.build("t4_2"))
+        slices = [cx.slice(j) for j in cx.quantum_range()]
+        want = [sum(len(b) for b in sl.basis.values()) for sl in slices if sl.basis]
+        for ring in ("Z", "Q"):
+            calls.clear()
+            khovanov_homology(cx.D, ring)
+            assert calls == want, ring
 
     def test_one_complex_per_diagram(self, diagrams):
         d = diagrams("hopf")

@@ -5,6 +5,7 @@ import pytest
 from pkh import corpus
 from pkh.complexes import build_complex
 from pkh.equivariant import EquivariantSlice, equivariant_reduce
+from pkh.errors import ValidationError
 from pkh.homalg import (FreeComplex, GroupRingElt, SparseIntMatrix, cofactor,
                         cyclotomic, eval_group_ring, idempotent_int_scaled,
                         int_rank, norm_element, poly_mul, project,
@@ -112,6 +113,28 @@ class TestHomology:
         cx.check_composes()
         assert cx.homology() == {0: (1, ()), 2: (1, ())}
 
+    def test_homology_leaves_the_complex_unchanged(self):
+        rng = random.Random(23)
+        sl = build_complex(corpus.build("t3_2")).slice(5)
+        for cx in [_random_complex(rng) for _ in range(5)] + [sl.to_free_complex()]:
+            dims = list(cx.dims.items())
+            diffs = {i: (m, entries_in_order(m), {c: set(col) for c, col in m.cols.items()})
+                     for i, m in cx.diffs.items()}
+            for ring in ("Z", "Q"):
+                cx.homology(ring=ring)
+                assert list(cx.dims.items()) == dims
+                assert list(cx.diffs) == list(diffs)
+                for i, (m, entries, cols) in diffs.items():
+                    assert cx.diffs[i] is m
+                    assert entries_in_order(m) == entries, i
+                    assert m.cols == cols, i
+
+    def test_homology_rejects_unknown_ring(self):
+        cx = FreeComplex({0: 1, 1: 1}, {0: dense([[2]])})
+        for ring in ("F2", "z", ""):
+            with pytest.raises(ValidationError):
+                cx.homology(ring=ring)
+
     def test_reduction_preserves_homology(self):
         rng = random.Random(5)
         for _ in range(10):
@@ -149,9 +172,9 @@ class TestHomology:
                 assert hom.get(i, (0, ()))[0] == want
 
 
-def _random_complex(rng):
+def _random_complex(rng, n=None):
     # two-step mapping-cone style construction, so compositions vanish
-    n = rng.randint(2, 6)
+    n = n or rng.randint(2, 6)
     a = dense([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
     zero = SparseIntMatrix(n, n)
     cx = FreeComplex({0: n, 1: 2 * n, 2: n}, {
@@ -160,6 +183,27 @@ def _random_complex(rng):
     })
     cx.check_composes()
     return cx
+
+
+def _direct_sum(*parts):
+    """The complexes cx of the pairs (cx, lo), each moved up by lo degrees.
+
+    Their degrees must not overlap, so no differential joins two parts.
+    """
+    dims, diffs = {}, {}
+    for cx, lo in parts:
+        for i, n in cx.dims.items():
+            assert i + lo not in dims
+            dims[i + lo] = n
+        for i, m in cx.diffs.items():
+            diffs[i + lo] = m
+    return FreeComplex(dims, diffs)
+
+
+def _dual(cx):
+    """The dual complex: degree -i is the dual of degree i, d_i transposed."""
+    return FreeComplex({-i: n for i, n in cx.dims.items()},
+                       {-i - 1: m.transpose() for i, m in cx.diffs.items()})
 
 
 def _stack_vert(top, bottom):
@@ -452,8 +496,14 @@ class TestCancellationKernel:
     def test_unit_reduction_matches_reference(self):
         assert "t5_2" in SMALL and "t8_2_flat" in SMALL
         rng = random.Random(29)
-        for _ in range(20):
-            cx = _random_complex(rng)
+        inputs = [_random_complex(rng) for _ in range(20)]
+        # negative and gapped degrees, and ranks just past a power of two
+        # whose last rows and columns hold entries, for the bit widths of
+        # the packed candidate keys
+        for shift, gap, n in ((-3, 0, 9), (-7, 4, 17), (-1, 9, 5), (-40, 70, 33)):
+            inputs.append(_direct_sum((_random_complex(rng, n), shift),
+                                      (_dual(_random_complex(rng, n)), shift + 5 + gap)))
+        for cx in inputs:
             want = reference_unit_reduction(cx)
             got = reduce_unit_pivots(cx)
             assert_same_complex(got.dims, got.diffs, want.dims, want.diffs, "random")
