@@ -83,9 +83,6 @@ class GradedAbGroup:
     def as_dict(self) -> dict[tuple[int, int], tuple[int, tuple[int, ...]]]:
         return dict(self.groups)
 
-    def free_rank(self, i: int, j: int) -> int:
-        return self.as_dict().get((i, j), (0, ()))[0]
-
     def poincare(self) -> BiPolynomial:
         return BiPolynomial({key: val[0] for key, val in self.groups if val[0]})
 
@@ -233,11 +230,16 @@ class SliceComplex:
     def diff(self, i: int) -> SparseIntMatrix:
         m = self._diffs.get(i)
         if m is None:
-            m = self._build_diff(i)
+            m = self.build_diff(i)
             self._diffs[i] = m
         return m
 
-    def _build_diff(self, i: int) -> SparseIntMatrix:
+    def build_diff(self, i: int, leads=None) -> SparseIntMatrix:
+        """d_i built afresh and not cached; `diff` keeps what this returns.
+
+        With `leads`, a set of column indices, only those columns are
+        filled, and smoothings that hold none of them are skipped.
+        """
         cx = self.parent
         tgt_off = self._offsets.get(i + 1, {})
         m = SparseIntMatrix(self.dim(i + 1), self.dim(i))
@@ -246,18 +248,24 @@ class SliceComplex:
         row_of: dict[int, dict[int, int]] = {}
         col = 0
         for bits, nc, x in self.blocks.get(i, ()):
+            lab = cx.labellings(nc, x)
+            if leads is not None and not any(c in leads for c in range(col, col + len(lab.masks))):
+                col += len(lab.masks)
+                continue
             out = []
             for tbits, sign, merge, src, t1, t2, tr in cx.edges(bits):
                 if merge and x == nc:
                     continue  # every labelling multiplies X.X = 0
                 row_t = row_of.get(tbits)
                 if row_t is None:
-                    lab = cx.labellings(nc - 1, x) if merge else cx.labellings(nc + 1, x + 1)
+                    tlab = cx.labellings(nc - 1, x) if merge else cx.labellings(nc + 1, x + 1)
                     off = tgt_off[tbits]
-                    row_t = row_of[tbits] = {mask: off + k for mask, k in lab.rank.items()}
+                    row_t = row_of[tbits] = {mask: off + k for mask, k in tlab.rank.items()}
                 out.append((row_t, sign, merge, src, t1, t2, tr))
-            lab = cx.labellings(nc, x)
             for xmask, xcircles in zip(lab.masks, lab.circles):
+                if leads is not None and col not in leads:
+                    col += 1
+                    continue
                 # the entries of one column never collide, so write them directly
                 hit = set()
                 for row_t, sign, merge, src, t1, t2, tr in out:
@@ -377,15 +385,14 @@ def khovanov_polynomial(diagram: PeriodicDiagram) -> BiPolynomial:
 def graded_euler_characteristic(diagram: PeriodicDiagram) -> LaurentPoly:
     """Chain-level graded Euler characteristic (the unnormalized Jones side).
 
-    Independent of the differential: a plain state sum over smoothings.
+    Independent of the differential: a state sum over smoothings, taken
+    once per (weight, circle count) bucket.
     """
     D = diagram
     out = LaurentPoly.zero()
     qq = LaurentPoly.q_plus_qinv()
-    for bits in range(1 << D.ncross):
-        r = bits.bit_count()
-        c = D.state_data(bits).n_circ
-        term = (qq ** c).shift(r + D.n_plus - 2 * D.n_minus)
+    for (r, c), states in build_complex(D).buckets().items():
+        term = (qq ** c).shift(r + D.n_plus - 2 * D.n_minus) * len(states)
         if (r - D.n_minus) % 2:
             term = -term
         out = out + term

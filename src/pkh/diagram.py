@@ -139,9 +139,6 @@ class PeriodicDiagram:
         self.complex = None  # the Khovanov complex, set by pkh.complexes.build_complex
 
     # crossing g = copy * ncross_t + index within tangle (copy-major order)
-    def crossing_copy(self, g: int) -> int:
-        return g // self.ncross_t
-
     def crossing_slots(self, g: int) -> list[tuple[int, str]]:
         copy, t = divmod(g, self.ncross_t)
         return [(copy, s) for s in self.tangle.crossings[t].slots]

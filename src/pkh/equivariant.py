@@ -11,13 +11,14 @@ projecting the complex onto the Phi_d-isotypic summand and taking homology;
 this side doubles as an independent check on the free ranks of the
 integral answer.
 
-For speed, the complex is first compressed by an equivariant variant of
-unit-pivot Gaussian cancellation: only whole free rotation orbits of basis
-elements are cancelled, against unit differential entries that touch a
-single member of the target orbit.  The cancelled span is an acyclic free
-module summand and a subcomplex, so the quotient is a complex of free
-modules with the same hyper-Ext, and the generator still acts on the
-surviving basis by a signed permutation.
+For speed, the complex is first compressed by Gaussian cancellation over
+the group ring: d is built only on the columns of orbit leads (the least
+index of each rotation orbit), and a free orbit pair is cancelled through
+a unit entry that is the only one of the target orbit in its lead column,
+i.e. through a quotient entry +-t^k.  The cancelled span is an acyclic free
+module summand, so the quotient is a complex of free modules with the same
+hyper-Ext; the survivors are whole orbits, expanded back to the full
+basis, on which the generator still acts by a signed permutation.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from dataclasses import dataclass, field
 from .complexes import GradedAbGroup, SliceComplex, build_complex, khovanov_homology
 from .diagram import PeriodicDiagram
 from .errors import InvariantError, ValidationError
-from .homalg import (CancellingComplex, FreeComplex, GroupRingElt, SparseIntMatrix,
-                     cofactor, cyclotomic, eval_group_ring, int_rank,
-                     poly_divmod_exact, project)
+from .homalg import (FreeComplex, GroupRingElt, OrbitCancellingComplex,
+                     SparseIntMatrix, cofactor, cyclotomic, eval_group_ring,
+                     int_rank, poly_divmod_exact, project)
 from .oracles import euler_phi
 from .polynomials import BiPolynomial
 
@@ -130,43 +131,20 @@ class EquivariantSlice:
     psi: dict[int, list[tuple[int, int]]]
 
 
-def _orbit(psi: list[tuple[int, int]], e: int) -> list[int]:
-    out = [e]
-    cur = psi[e][0]
-    while cur != e:
-        out.append(cur)
-        cur = psi[cur][0]
-    return out
-
-
 def equivariant_reduce(sl: SliceComplex, n: int) -> EquivariantSlice:
-    """Cancel whole free orbits of unit entries; the result is cached on sl.
+    """Cancel free orbits over the group ring; the result is cached on sl.
 
-    A unit d[t][s] qualifies when the orbits of s and t are free, no other
-    member of t's orbit hits s, and each pair (psi^k t, psi^k s) is a unit.
-    Orbits of the survivors are orbits of the slice, so its psi carries over.
+    d is built on the orbit-lead columns only, and `OrbitCancellingComplex`
+    cancels a pair of free orbits through a unit d[t][s] on a lead s when t
+    is the only member of its orbit in column s.  Survivors are whole orbits
+    of the slice, expanded back to the full basis, so its psi carries over.
     """
     cached = getattr(sl, "_eq_reduced", None)
     if cached is None:
         dims = {i: len(basis) for i, basis in sl.basis.items() if basis}
         psi = {i: sl.psi(i) for i in dims}
-        red = CancellingComplex(dims, {i: sl.take_diff(i) for i in dims if sl.dim(i + 1)})
-
-        def pairs(i, t, s):
-            orb_s = _orbit(psi[i], s)
-            if len(orb_s) != n:
-                return None
-            orb_t = _orbit(psi[i + 1], t)
-            if len(orb_t) != n:
-                return None
-            m = red.mats[i]
-            if any(m.get(t2, s) for t2 in orb_t if t2 != t):
-                return None
-            if any(m.get(t2, s2) not in (1, -1) for t2, s2 in zip(orb_t, orb_s)):
-                return None
-            return zip(orb_t, orb_s)
-
-        red.reduce(pairs)
+        red = OrbitCancellingComplex(dims, psi, n, sl.build_diff)
+        red.reduce(red.free_pivot)
         dims, diffs, remap = red.export()
         out_psi = {}
         for i in dims:
@@ -278,20 +256,34 @@ def _totalize(red: EquivariantSlice, horiz, cols: int, maxdeg: int) -> FreeCompl
         if m + 1 not in dims:
             continue
         mat = SparseIntMatrix(dims[m + 1], dims[m])
+        rows, mcols = mat.rows, mat.cols
+        above = offsets.get(m + 1, {})
         for p, off in offsets[m].items():
             q = m - p
+            # the vertical and horizontal images of block (p, q) lie in the
+            # distinct blocks (p, q + 1) and (p + 1, q), so no entry is
+            # written twice
+            blocks = []
             vert = red.diffs.get(q)
-            if vert is not None and p in offsets.get(m + 1, {}):
-                toff = offsets[m + 1][p]
-                sign = -1 if p % 2 else 1
-                for r, c, v in vert.entries():
-                    mat.add(toff + r, off + c, sign * v)
-            if p + 1 < cols and (p + 1) in offsets.get(m + 1, {}):
-                h = horiz[q][0] if p % 2 == 0 else horiz[q][1]
-                toff = offsets[m + 1][p + 1]
-                for r, c, v in h.entries():
-                    mat.add(toff + r, off + c, v)
-        if not mat.is_zero():
+            if vert is not None and p in above:
+                blocks.append((vert, above[p], -1 if p % 2 else 1))
+            if p + 1 in above:
+                blocks.append((horiz[q][p % 2], above[p + 1], 1))
+            for src, toff, sign in blocks:
+                for r, row in src.rows.items():
+                    r += toff
+                    out = rows.get(r)
+                    if out is None:
+                        out = rows[r] = {}
+                    for c, v in row.items():
+                        c += off
+                        out[c] = sign * v
+                        col = mcols.get(c)
+                        if col is None:
+                            mcols[c] = {r}
+                        else:
+                            col.add(r)
+        if mat.rows:
             diffs[m] = mat
     return FreeComplex(dims, diffs)
 

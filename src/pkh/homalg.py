@@ -3,9 +3,10 @@
 Sparse integer matrices with arbitrary-precision entries, Smith normal form
 with growth-aware pivoting, homology of finite free cochain complexes
 (compressed first by unit-pivot Gaussian cancellation, which preserves
-integral homology exactly), and group-ring utilities: cyclotomic factors of
-t^n - 1, rational idempotents, and evaluation of ring elements on a chain
-automorphism.
+integral homology exactly; the same kernel also cancels free orbits of a
+chain automorphism over the group ring), and group-ring utilities:
+cyclotomic factors of t^n - 1, rational idempotents, and evaluation of ring
+elements on a chain automorphism.
 """
 
 from __future__ import annotations
@@ -30,13 +31,6 @@ class SparseIntMatrix:
         self.ncols = ncols
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
-
-    @classmethod
-    def from_entries(cls, nrows, ncols, entries) -> "SparseIntMatrix":
-        m = cls(nrows, ncols)
-        for r, c, v in entries:
-            m.add(r, c, v)
-        return m
 
     @classmethod
     def from_dense(cls, dense: list[list[int]]) -> "SparseIntMatrix":
@@ -131,14 +125,6 @@ class SparseIntMatrix:
                 if v:
                     out.set(r, c, v)
         return out
-
-    def apply(self, vec: dict[int, int]) -> dict[int, int]:
-        """Matrix times sparse column vector."""
-        out: dict[int, int] = {}
-        for c, v in vec.items():
-            for r in self.cols.get(c, ()):
-                out[r] = out.get(r, 0) + self.rows[r][c] * v
-        return {r: v for r, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +568,11 @@ class CancellingComplex:
             for i, m in mats.items():
                 cols = m.cols
                 base = (i - lo) << ishift
+                wide = self._row_fill(i, m)
                 for t, row in m.rows.items():
-                    rl = len(row) - 1
+                    rl = len(row) - 1 if wide is None else wide.get(t)
+                    if rl is None:
+                        continue
                     key = base | (t << sbits)
                     for s, v in row.items():
                         if v == 1 or v == -1:
@@ -612,6 +601,14 @@ class CancellingComplex:
             if not progress:
                 return
 
+    def _row_fill(self, i: int, m: SparseIntMatrix):
+        """Row t's length less one, for the fill estimate of d_i's entries.
+
+        None means each row's own length; a rule that reads rows differently
+        returns a dict, and the rows it leaves out give no candidates.
+        """
+        return None
+
     def export(self):
         """(dims, diffs, remap) on the surviving basis, renumbered in order.
 
@@ -626,6 +623,200 @@ class CancellingComplex:
             tgt, src = remap[i + 1], remap[i]
             for r, c, v in m.entries():
                 out.set(tgt[r], src[c], v)
+            diffs[i] = out
+        return dims, diffs, remap
+
+
+class OrbitCancellingComplex(CancellingComplex):
+    """Gaussian cancellation over the group ring, on orbit-lead columns.
+
+    The complex carries a chain automorphism psi of order n, a signed
+    permutation of each basis (psi[i][e] = (image, sign)).  The lead of an
+    orbit is its least id, and `mats[i]` holds d_i on the lead columns of
+    degree i only, with every row: column psi^k(s) is psi^k applied to
+    column s, so it is not stored.  The build is `build(i, leads)`.
+
+    A unit d_i[t][s] on a lead s is a group-ring pivot when the orbits of s
+    and t are free and t is the only member of its orbit in column s: the
+    quotient entry sum_k d[psi^k t][s] t^k is then a signed monomial.
+    Cancelling it removes both orbits whole, which is the n unit pivots
+    (psi^k t, psi^k s) of the full basis taken together (equivariant
+    discrete Morse theory).  Orbits that are not free are never cancelled,
+    so the survivors are whole orbits and psi still permutes them.
+    """
+
+    def __init__(self, dims: dict[int, int], psi: dict[int, list[tuple[int, int]]],
+                 n: int, build):
+        self.psi, self.n = psi, n
+        self.lead: dict[int, list[int]] = {}            # id -> lead of its orbit
+        self.orbit: dict[int, dict[int, tuple[int, ...]]] = {}  # lead -> psi^k(lead) ids
+        for i, p in psi.items():
+            lead = [-1] * len(p)
+            orbit = {}
+            for e in range(len(p)):
+                if lead[e] < 0:
+                    members = [e]
+                    lead[e] = e
+                    cur = p[e][0]
+                    while cur != e:
+                        members.append(cur)
+                        lead[cur] = e
+                        cur = p[cur][0]
+                    orbit[e] = tuple(members)
+            self.lead[i], self.orbit[i] = lead, orbit
+        super().__init__(dims, {i: build(i, self.orbit[i].keys()) for i in dims if i + 1 in dims})
+
+    def free_pivot(self, i: int, t: int, s: int):
+        """The rule for `reduce`: cancel (t, s) when it is a group-ring pivot."""
+        n = self.n
+        if len(self.orbit[i][s]) != n:
+            return None
+        orb = self.orbit[i + 1][self.lead[i + 1][t]]
+        if len(orb) != n:
+            return None
+        col = self.mats[i].cols[s]
+        for t2 in orb:
+            if t2 != t and t2 in col:
+                return None
+        return ((t, s),)
+
+    def _row_fill(self, i: int, m: SparseIntMatrix):
+        """Orbit-wide lengths: sum_k |row psi^k t| on the lead columns.
+
+        That is row t's length on the full basis when every column orbit is
+        free.  Only rows of free orbits are listed; no other row can pivot.
+        """
+        lead, orbit, n = self.lead[i + 1], self.orbit[i + 1], self.n
+        rows = m.rows
+        total: dict[int, int] = {}
+        for t, row in rows.items():
+            a = lead[t]
+            total[a] = total.get(a, 0) + len(row)
+        return {t: total[lead[t]] - 1 for t in rows if len(orbit[lead[t]]) == n}
+
+    def cancel(self, i: int, t: int, s: int) -> None:
+        """Cancel the orbits of t and of the lead s through the unit d_i[t][s].
+
+        With psi^k t = b_k T_k, the pivots (T_k, psi^k s) form a diagonal
+        block, so for each k every lead column c loses psi^k(column s)
+        scaled by lam * b_k * d[T_k][c], and the T_k rows go.  Then the rows
+        of s's orbit leave d_{i-1} and the lead column of t's leaves d_{i+1}.
+        """
+        mats = self.mats
+        m = mats[i]
+        rows, cols = m.rows, m.cols
+        lam = rows[t][s]
+        if lam != 1 and lam != -1:
+            raise InvariantError(f"cancelling a non-unit entry {lam}")
+        pcol = []
+        for r in cols.pop(s):
+            row = rows[r]
+            pcol.append((r, row.pop(s)))
+            if not row:
+                del rows[r]
+        psi = self.psi[i + 1]
+        cur, b = t, 1
+        for k in range(self.n):
+            if k:
+                cur, sg = psi[cur]
+                b *= sg
+                pcol = [(psi[r][0], psi[r][1] * y) for r, y in pcol]
+            prow = rows.pop(cur, None)
+            if prow is None:
+                continue
+            f = -lam * b
+            for r, y in pcol:
+                if r == cur:
+                    continue
+                coeff = f * y
+                row = rows.get(r)
+                if row is None:
+                    row = rows[r] = {}
+                for c, x in prow.items():
+                    old = row.get(c)
+                    if old is None:
+                        row[c] = coeff * x
+                        cols[c].add(r)
+                    else:
+                        new = old + coeff * x
+                        if new:
+                            row[c] = new
+                        else:
+                            del row[c]
+                            cols[c].discard(r)
+                if not row:
+                    del rows[r]
+            for c in prow:
+                col = cols[c]
+                col.discard(cur)
+                if not col:
+                    del cols[c]
+        if not rows:
+            del mats[i]
+        orb_s = self.orbit[i][s]
+        below = mats.get(i - 1)
+        if below is not None:
+            brows, bcols = below.rows, below.cols
+            for e in orb_s:
+                brow = brows.pop(e, None)
+                if brow is not None:
+                    for c in brow:
+                        col = bcols[c]
+                        col.discard(e)
+                        if not col:
+                            del bcols[c]
+            if not brows:
+                del mats[i - 1]
+        lead_t = self.lead[i + 1][t]
+        above = mats.get(i + 1)
+        if above is not None:
+            acol = above.cols.pop(lead_t, None)
+            if acol is not None:
+                arows = above.rows
+                for r in acol:
+                    row = arows[r]
+                    del row[lead_t]
+                    if not row:
+                        del arows[r]
+                if not arows:
+                    del mats[i + 1]
+        self.alive[i].difference_update(orb_s)
+        self.alive[i + 1].difference_update(self.orbit[i + 1][lead_t])
+
+    def export(self):
+        """As `CancellingComplex.export`, with every orbit's columns expanded.
+
+        Member psi^k(lead) = a_k e_k of a surviving orbit has the column
+        a_k psi^k(d lead).  Columns are written orbit by orbit, leads
+        ascending.
+        """
+        remap = {i: {e: k for k, e in enumerate(sorted(s))} for i, s in self.alive.items()}
+        dims = {i: len(s) for i, s in self.alive.items() if s}
+        diffs: dict[int, SparseIntMatrix] = {}
+        for i, m in self.mats.items():
+            out = SparseIntMatrix(dims.get(i + 1, 0), dims.get(i, 0))
+            orows, ocols = out.rows, out.cols
+            tgt, src = remap[i + 1], remap[i]
+            psi_t, psi_s = self.psi[i + 1], self.psi[i]
+            mrows = m.rows
+            for lead in sorted(m.cols):
+                vec = [(r, mrows[r][lead]) for r in m.cols[lead]]
+                cur, a = lead, 1
+                for _ in self.orbit[i][lead]:
+                    c = src[cur]
+                    hit = set()
+                    for r, v in vec:
+                        tr = tgt[r]
+                        row = orows.get(tr)
+                        if row is None:
+                            orows[tr] = {c: a * v}
+                        else:
+                            row[c] = a * v
+                        hit.add(tr)
+                    ocols[c] = hit
+                    vec = [(psi_t[r][0], psi_t[r][1] * v) for r, v in vec]
+                    cur, sg = psi_s[cur]
+                    a *= sg
             diffs[i] = out
         return dims, diffs, remap
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pkh
 from pkh import corpus
 from pkh.cli import main
 from pkh.complexes import DiagramComplex
@@ -156,8 +159,13 @@ class TestCommands:
         assert "free" in out and "torsion" in out
 
     def test_console_entry_point(self, corpus_dir):
+        # the child imports the same pkh as this process, however it was found
+        path = [str(Path(pkh.__file__).resolve().parent.parent)]
+        if os.environ.get("PYTHONPATH"):
+            path.append(os.environ["PYTHONPATH"])
         proc = subprocess.run(
             [sys.executable, "-m", "pkh.cli", "poly", str(corpus_dir / "hopf.json")],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["polynomial"] == "1 + q^2 + t^2*q^4 + t^2*q^6"

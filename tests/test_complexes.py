@@ -252,6 +252,43 @@ class TestEdgeTables:
         assert khovanov_homology(d, "Q") is khovanov_homology(d, "Q")
 
 
+class TestLeadColumns:
+    def test_lead_columns_match_full_build(self):
+        """d_i on the orbit-lead columns is d_i restricted to them, entry for entry.
+
+        Rows list their entries in the same order; a row may be created at
+        another point, since the columns before its first lead are skipped.
+        """
+        for name in corpus.corpus_names():
+            D = corpus.build(name)
+            if D.ncross > 8:
+                continue
+            cx = build_complex(D)
+            for j in cx.quantum_range():
+                sl = cx.slice(j)
+                for i in sl.basis:
+                    if i + 1 not in sl.basis:
+                        continue
+                    psi = sl.psi(i)
+                    leads = set()
+                    for e in range(len(psi)):
+                        orbit, cur = [e], psi[e][0]
+                        while cur != e:
+                            orbit.append(cur)
+                            cur = psi[cur][0]
+                        leads.add(min(orbit))
+                    got = sl.build_diff(i, leads)
+                    full = sl.diff(i)
+                    want = {r: [(c, v) for c, v in row.items() if c in leads]
+                            for r, row in full.rows.items()}
+                    assert (got.nrows, got.ncols) == (full.nrows, full.ncols)
+                    assert {r: list(row.items()) for r, row in got.rows.items()} == \
+                        {r: row for r, row in want.items() if row}, (name, j, i)
+                    assert [(c, list(col)) for c, col in got.cols.items()] == \
+                        [(c, list(col)) for c, col in full.cols.items() if c in leads], (name, j, i)
+                    assert sl.diff(i) is full, (name, j, i)  # the lead build is not cached
+
+
 class TestHomology:
     def test_hopf_rational(self, diagrams):
         kh = khovanov_homology(diagrams("hopf"), "Q")

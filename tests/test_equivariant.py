@@ -29,6 +29,29 @@ class TestResolutions:
             build_resolution(6, 4, 3)
 
 
+def assert_action_commutes(red, n, where):
+    """psi stays a signed permutation of order n that commutes with d."""
+    for i, psi in red.psi.items():
+        for k in range(len(psi)):
+            cur, sign = k, 1
+            for _ in range(n):
+                cur, s = psi[cur][0], sign * psi[cur][1]
+                sign = s
+            assert (cur, sign) == (k, 1), where
+    for i, mat in red.diffs.items():
+        psi_s, psi_t = red.psi[i], red.psi[i + 1]
+        for c in range(red.dims[i]):
+            img, sg = psi_s[c]
+            lhs = {}
+            for r in mat.cols.get(img, ()):
+                lhs[r] = lhs.get(r, 0) + sg * mat.rows[r][img]
+            rhs = {}
+            for r in mat.cols.get(c, ()):
+                tr, ts = psi_t[r]
+                rhs[tr] = rhs.get(tr, 0) + ts * mat.rows[r][c]
+            assert lhs == rhs, (where, i, c)
+
+
 class TestEquivariantReduction:
     def test_reduction_keeps_action_and_homology(self, diagrams, complexes):
         for name in ("hopf", "unknot2_n2", "borromean_n3"):
@@ -39,31 +62,23 @@ class TestEquivariantReduction:
                 if not sl.basis:
                     continue
                 red = equivariant_reduce(sl, d.n)
-                # psi stays a signed permutation of order n that commutes with d
-                for i, psi in red.psi.items():
-                    for k in range(len(psi)):
-                        cur, sign = k, 1
-                        for _ in range(d.n):
-                            cur, s = psi[cur][0], sign * psi[cur][1]
-                            sign = s
-                        assert (cur, sign) == (k, 1)
-                for i, mat in red.diffs.items():
-                    psi_s, psi_t = red.psi[i], red.psi[i + 1]
-                    for c in range(red.dims[i]):
-                        img, sg = psi_s[c]
-                        lhs = {}
-                        for r in mat.cols.get(img, ()):
-                            lhs[r] = lhs.get(r, 0) + sg * mat.rows[r][img]
-                        rhs = {}
-                        for r in mat.cols.get(c, ()):
-                            tr, ts = psi_t[r]
-                            rhs[tr] = rhs.get(tr, 0) + ts * mat.rows[r][c]
-                        assert lhs == rhs
+                assert_action_commutes(red, d.n, (name, j))
                 # homology of the underlying complex is unchanged
                 from pkh.homalg import FreeComplex
                 before = sl.to_free_complex().homology()
                 after = FreeComplex(dict(red.dims), dict(red.diffs)).homology()
                 assert before == after
+
+
+    def test_action_commutes_on_small_corpus(self, diagrams, complexes):
+        names = [name for name in corpus.corpus_names() if diagrams(name).ncross <= 8]
+        assert "t5_2" in names and "borromean_n3" in names
+        for name in names:
+            cx = complexes(name)
+            for j in cx.quantum_range():
+                sl = cx.slice(j)
+                if sl.basis:
+                    assert_action_commutes(equivariant_reduce(sl, cx.D.n), cx.D.n, (name, j))
 
 
 class TestExtGroups:

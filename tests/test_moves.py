@@ -1,0 +1,126 @@
+"""Equivariant Reidemeister moves on generated periodic braid closures.
+
+A seeded generator draws a braid word w on 2-4 strands and a rotation
+order n in {2, 3, 4}; the periodic diagram is `corpus.braid_tangle(w, s, n)`,
+the closure of w^n with the rotation cycling the n copies of w.  Each move
+is an equivariant isotopy, so it must leave classical Khovanov homology,
+the equivariant groups for every d | n and the rational isotypic dimensions
+as they were:
+
+- insert s_k s_k^-1 into w: an R2 move in every copy;
+- conjugate w by a letter a: the a^-1 a across each seam is an R2 move;
+- rotate w cyclically: the seam moves and the periodic diagram stays.
+
+Crossings after a move are capped per n to keep the file fast.  The
+equivariant groups are compared up to two degrees past the most crossings
+a closure can have, which covers every classical degree and the start of
+the two-periodic tail.
+"""
+
+import random
+from functools import lru_cache
+
+import pytest
+
+from pkh import corpus
+from pkh.complexes import khovanov_homology
+from pkh.diagram import diagram_from_dict
+from pkh.equivariant import ext_groups, rational_equivariant, total_comparison
+
+MAX_CROSSINGS = {2: 10, 3: 9, 4: 8}
+WORDS_PER_CASE = 3
+
+
+def random_letter(rng, strands):
+    return rng.choice((1, -1)) * rng.randint(1, strands - 1)
+
+
+def insert_r2(rng, word, strands):
+    a = random_letter(rng, strands)
+    at = rng.randint(0, len(word))
+    return word[:at] + (a, -a) + word[at:]
+
+
+def conjugate(rng, word, strands):
+    a = random_letter(rng, strands)
+    return (a,) + word + (-a,)
+
+
+def rotate(rng, word, strands):
+    k = rng.randint(1, len(word) - 1)
+    return word[k:] + word[:k]
+
+
+# move -> (function, letters it adds, least word length it needs)
+MOVES = {"insert_r2": (insert_r2, 2, 0), "conjugate": (conjugate, 2, 0), "rotate": (rotate, 0, 2)}
+
+
+def generate(move, n, seed):
+    """(word, strands, moved word) triples, the first as long as the cap allows.
+
+    Each later word is a letter shorter, down to what the move needs; a
+    draw that the move leaves unchanged is drawn again.
+    """
+    fn, grows, least = MOVES[move]
+    longest = MAX_CROSSINGS[n] // n - grows
+    rng = random.Random(f"{move}-{n}-{seed}")
+    out = []
+    while len(out) < WORDS_PER_CASE:
+        strands = rng.choice((2, 3, 4))
+        length = max(least, longest - len(out))
+        word = tuple(random_letter(rng, strands) for _ in range(length))
+        moved = fn(rng, word, strands)
+        if moved != word:
+            out.append((word, strands, moved))
+    return out
+
+
+@lru_cache(maxsize=None)
+def closure(word, strands, n):
+    """The diagram, shared so that its complex and reductions are too."""
+    return diagram_from_dict(corpus.braid_tangle(word, strands, n))
+
+
+@lru_cache(maxsize=None)
+def invariants(word, strands, n):
+    D = closure(word, strands, n)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return (khovanov_homology(D, "Z"),
+            {d: ext_groups(D, d, MAX_CROSSINGS[n] + 2) for d in divisors},
+            {d: rational_equivariant(D, d)["dim_q"] for d in divisors})
+
+
+class TestGenerator:
+    def test_seeded_and_within_the_cap(self):
+        for move in MOVES:
+            for n in MAX_CROSSINGS:
+                cases = generate(move, n, 0)
+                assert cases == generate(move, n, 0)
+                for word, strands, moved in cases:
+                    assert 2 <= strands <= 4
+                    assert all(1 <= abs(a) < strands for a in moved)
+                    assert n * len(moved) <= MAX_CROSSINGS[n]
+                    assert closure(moved, strands, n).ncross == n * len(moved)
+
+    def test_moves_change_the_word(self):
+        rng = random.Random(3)
+        w = (1, -2, 1)
+        assert rotate(rng, w, 3) in ((-2, 1, 1), (1, 1, -2))
+        moved = conjugate(rng, w, 3)
+        assert moved[1:-1] == w and moved[0] == -moved[-1]
+        moved = insert_r2(rng, w, 3)
+        assert len(moved) == 5 and any(moved[k] == -moved[k + 1] for k in range(4))
+
+
+@pytest.mark.parametrize("n", sorted(MAX_CROSSINGS))
+@pytest.mark.parametrize("move", sorted(MOVES))
+def test_move_keeps_invariants(move, n):
+    for word, strands, moved in generate(move, n, 0):
+        where = (move, n, strands, word, moved)
+        kh, ext, rat = invariants(word, strands, n)
+        kh2, ext2, rat2 = invariants(moved, strands, n)
+        assert kh == kh2, where
+        for d in ext:
+            assert ext[d].groups == ext2[d].groups, (where, d)
+            assert rat[d] == rat2[d], (where, d)
+        assert total_comparison(closure(word, strands, n))["ok"], where
