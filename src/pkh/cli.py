@@ -29,10 +29,14 @@ USAGE_EXIT, INVARIANT_EXIT, IO_EXIT = 1, 2, 3
 
 def _load(path: str):
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise _IOFail(str(exc)) from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     return parse_diagram(text)
 
 

@@ -15,6 +15,12 @@ from math import comb
 
 from .errors import ParseError, ValidationError
 
+# Every engine sums over all 2^N smoothings of an N-crossing diagram, so a
+# larger diagram is refused before it is glued.  t8_2 (14 crossings) costs
+# 28.6 s and 521 MB on `pkh verify`, and each further crossing about doubles
+# both: 16 crossings is about two minutes and 2 GB.
+MAX_CROSSINGS = 16
+
 
 @dataclass(frozen=True)
 class Crossing:
@@ -127,6 +133,9 @@ class PeriodicDiagram:
     def __init__(self, tangle: QuotientTangle, n: int):
         if n < 1:
             raise ParseError("rotation order n must be >= 1")
+        if n * len(tangle.crossings) > MAX_CROSSINGS:
+            raise ValidationError(f"{n * len(tangle.crossings)} crossings: diagrams over "
+                                  f"{MAX_CROSSINGS} crossings are not supported")
         self.tangle = tangle
         self.n = n
         self.ncross_t = len(tangle.crossings)
@@ -395,24 +404,42 @@ def _as_state(diagram: PeriodicDiagram, state) -> KauffmanState:
 # parsing
 
 
+def _check_pairs(value, what: str) -> None:
+    """ParseError naming `what` unless value is a list of two-element lists."""
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{what} must be a list")
+    for pair in value:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ParseError(f"{what} entries must be (from, to) pairs, not {pair!r}")
+
+
 def diagram_from_dict(doc: dict) -> PeriodicDiagram:
     try:
         n = doc["n"]
         tg = doc["tangle"]
         raw_crossings = tg["crossings"]
         raw_arcs = tg["arcs"]
-        seam_in = list(tg["seam_in"])
-        seam_out = list(tg["seam_out"])
+        seam_in = tg["seam_in"]
+        seam_out = tg["seam_out"]
         orient = tg["orient"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing or malformed field: {exc}") from exc
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError("n must be an integer >= 1")
+    for what, value in (("crossings", raw_crossings), ("seam_in", seam_in),
+                        ("seam_out", seam_out)):
+        if not isinstance(value, (list, tuple)):
+            raise ParseError(f"{what} must be a list")
+    _check_pairs(raw_arcs, "arcs")
+    _check_pairs(orient, "orient")
 
     crossings = []
     for rx in raw_crossings:
         try:
-            crossings.append(Crossing(int(rx["id"]), tuple(str(s) for s in rx["slots"])))
+            slots = rx["slots"]
+            if not isinstance(slots, (list, tuple)):
+                raise TypeError("slots must be a list")
+            crossings.append(Crossing(int(rx["id"]), tuple(str(s) for s in slots)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed crossing entry: {rx!r}") from exc
 
@@ -433,6 +460,6 @@ def parse_diagram(text: str) -> PeriodicDiagram:
     """Parse and validate a diagram JSON document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     return diagram_from_dict(doc)

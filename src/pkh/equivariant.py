@@ -30,8 +30,8 @@ from .diagram import PeriodicDiagram
 from .errors import InvariantError, ValidationError
 from .homalg import (FreeComplex, GroupRingElt, OrbitCancellingComplex,
                      SparseIntMatrix, cofactor, cyclotomic, eval_group_ring,
-                     int_rank, poly_divmod_exact, project)
-from .oracles import euler_phi
+                     int_rank, isotypic_basis, project)
+from .oracles import MAX_WINDOW, euler_phi
 from .polynomials import BiPolynomial
 
 # ---------------------------------------------------------------------------
@@ -206,8 +206,8 @@ def ext_groups(diagram: PeriodicDiagram, d: int, window: int | None = None) -> E
     _check_divisor(n, d)
     if window is None:
         window = 2 * diagram.ncross + 6
-    if window < 0:
-        raise ValidationError("window must be non-negative")
+    if not 0 <= window <= MAX_WINDOW:
+        raise ValidationError(f"window must be between 0 and {MAX_WINDOW}")
     cx = build_complex(diagram)
     cols = window + diagram.n_minus + 2  # columns 0..cols-1
     phi = GroupRingElt.from_poly(n, cyclotomic(d)).coeffs
@@ -301,8 +301,8 @@ def hom_cohomology(diagram: PeriodicDiagram, module: str = "trivial") -> GradedA
     """
     if module not in ("trivial", "sign"):
         raise ValidationError("module must be 'trivial' or 'sign'")
-    eps = 1 if module == "trivial" else -1
-    if eps == -1 and diagram.n % 2:
+    d = 1 if module == "trivial" else 2  # the +1 or -1 eigenlattice
+    if d == 2 and diagram.n % 2:
         raise ValidationError("the sign module needs even rotation order")
     cx = build_complex(diagram)
     out: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
@@ -313,9 +313,9 @@ def hom_cohomology(diagram: PeriodicDiagram, module: str = "trivial") -> GradedA
         bases: dict[int, list[dict[int, int]]] = {}
         reps: dict[int, dict[int, int]] = {}  # orbit rep index -> generator col
         for i in sorted(sl.basis):
-            gens, repmap = _eigen_basis(sl.psi(i), eps)
+            gens = isotypic_basis(sl.psi(i), d)
             bases[i] = gens
-            reps[i] = repmap
+            reps[i] = {min(v): k for k, v in enumerate(gens)}
         dims = {i: len(g) for i, g in bases.items() if g}
         diffs: dict[int, SparseIntMatrix] = {}
         for i in dims:
@@ -328,38 +328,6 @@ def hom_cohomology(diagram: PeriodicDiagram, module: str = "trivial") -> GradedA
         for i, grp in hom.items():
             out[(i, j)] = grp
     return GradedAbGroup.from_dict(out)
-
-
-def _eigen_basis(psi: list[tuple[int, int]], eps: int):
-    """Integral basis of the eps-eigenlattice of a signed permutation.
-
-    Each qualifying orbit contributes one generator with +-1 coefficients.
-    Returns (generators as sparse dicts, map orbit-representative -> column).
-    """
-    seen = [False] * len(psi)
-    gens: list[dict[int, int]] = []
-    repmap: dict[int, int] = {}
-    for start in range(len(psi)):
-        if seen[start]:
-            continue
-        coeffs = {start: 1}
-        order = [start]
-        cur, a, sigma = start, 1, 1
-        while True:
-            nxt, s = psi[cur]
-            sigma *= s
-            if nxt == start:
-                break
-            a = a * s * eps
-            coeffs[nxt] = a
-            order.append(nxt)
-            cur = nxt
-        for k in order:
-            seen[k] = True
-        if sigma * (eps ** len(order)) == 1:
-            repmap[start] = len(gens)
-            gens.append(coeffs)
-    return gens, repmap
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +352,7 @@ def rational_equivariant(diagram: PeriodicDiagram, d: int) -> dict:
         red = equivariant_reduce(sl, n)
         iso: dict[int, list[dict[int, int]]] = {}
         for i, dim in red.dims.items():
-            iso[i] = _isotypic_basis(red.psi[i], d)
+            iso[i] = isotypic_basis(red.psi[i], d)
         ranks: dict[int, int] = {}
         for i in red.dims:
             if not iso.get(i) or (i + 1) not in red.dims:
@@ -406,54 +374,6 @@ def rational_equivariant(diagram: PeriodicDiagram, d: int) -> dict:
         "dim_cyc": {k: v // phi_d for k, v in dims.items()},
         "phi": phi_d,
     }
-
-
-def _isotypic_basis(psi: list[tuple[int, int]], d: int) -> list[dict[int, int]]:
-    """Integer basis of the Phi_d-isotypic subspace of a signed permutation."""
-    out: list[dict[int, int]] = []
-    seen = [False] * len(psi)
-    phi_d = euler_phi(d)
-    for start in range(len(psi)):
-        if seen[start]:
-            continue
-        elems = [start]
-        signs = [1]
-        cur, a = start, 1
-        while True:
-            nxt, s = psi[cur]
-            a *= s
-            if nxt == start:
-                sigma = a
-                break
-            elems.append(nxt)
-            signs.append(a)
-            cur = nxt
-        for k in elems:
-            seen[k] = True
-        L = len(elems)
-        if sigma == 1:
-            # Phi_d divides t^L - 1 iff d | L
-            if L % d:
-                continue
-            h = cofactor(d, L)
-        else:
-            # Phi_d divides t^L + 1 iff d | 2L and d does not divide L
-            if (2 * L) % d or L % d == 0:
-                continue
-            tl_plus_1 = [1] + [0] * (L - 1) + [1]
-            h = poly_divmod_exact(tl_plus_1, cyclotomic(d))
-        for shift in range(phi_d):
-            vec: dict[int, int] = {}
-            for k, coef in enumerate(h):
-                if coef:
-                    pos = (k + shift) % L
-                    wrap = (k + shift) // L
-                    val = coef * signs[pos] * (sigma ** wrap)
-                    vec[elems[pos]] = vec.get(elems[pos], 0) + val
-            vec = {k: v for k, v in vec.items() if v}
-            if vec:
-                out.append(vec)
-    return out
 
 
 def equivariant_polynomials(diagram: PeriodicDiagram, d: int):

@@ -3,10 +3,16 @@
 Sparse integer matrices with arbitrary-precision entries, Smith normal form
 with growth-aware pivoting, homology of finite free cochain complexes
 (compressed first by unit-pivot Gaussian cancellation, which preserves
-integral homology exactly; the same kernel also cancels free orbits of a
-chain automorphism over the group ring), and group-ring utilities:
-cyclotomic factors of t^n - 1, rational idempotents, and evaluation of ring
+integral homology exactly), and group-ring utilities: cyclotomic factors of
+t^n - 1, rational idempotents, isotypic bases, and evaluation of ring
 elements on a chain automorphism.
+
+One Gaussian-cancellation step serves every engine.  `CancellingComplex`
+holds its only copy: the Schur update from a pivot row, the removal of the
+cancelled ids from the neighbouring differentials, and the renumbering
+`export`.  A free orbit pair of a chain automorphism of order n is
+cancelled over the group ring by taking that step n times, once per power
+of the automorphism (`OrbitCancellingComplex`).
 """
 
 from __future__ import annotations
@@ -459,6 +465,63 @@ def project(d: SparseIntMatrix, gens: list[dict[int, int]], nrows: int,
     return out
 
 
+def isotypic_basis(psi: list[tuple[int, int]], d: int) -> list[dict[int, int]]:
+    """Integer basis of the Phi_d-isotypic subspace of a signed permutation.
+
+    Each orbit on which Phi_d divides the minimal polynomial of psi gives
+    phi(d) vectors, in orbit order (orbits by least id); each vector is
+    scaled so that its least id has coefficient +1.  For d = 1 and d = 2
+    that is one +-1 vector per orbit, a basis of the integral +1 and -1
+    eigenlattices, so `{min(v): k}` locates each vector's orbit.
+    """
+    out: list[dict[int, int]] = []
+    seen = [False] * len(psi)
+    phi_d = len(cyclotomic(d)) - 1
+    for start in range(len(psi)):
+        if seen[start]:
+            continue
+        elems = [start]
+        signs = [1]
+        cur, a = start, 1
+        while True:
+            nxt, s = psi[cur]
+            a *= s
+            if nxt == start:
+                sigma = a
+                break
+            elems.append(nxt)
+            signs.append(a)
+            cur = nxt
+        for k in elems:
+            seen[k] = True
+        L = len(elems)
+        if sigma == 1:
+            # Phi_d divides t^L - 1 iff d | L
+            if L % d:
+                continue
+            h = cofactor(d, L)
+        else:
+            # Phi_d divides t^L + 1 iff d | 2L and d does not divide L
+            if (2 * L) % d or L % d == 0:
+                continue
+            tl_plus_1 = [1] + [0] * (L - 1) + [1]
+            h = poly_divmod_exact(tl_plus_1, cyclotomic(d))
+        for shift in range(phi_d):
+            vec: dict[int, int] = {}
+            for k, coef in enumerate(h):
+                if coef:
+                    pos = (k + shift) % L
+                    wrap = (k + shift) // L
+                    val = coef * signs[pos] * (sigma ** wrap)
+                    vec[elems[pos]] = vec.get(elems[pos], 0) + val
+            vec = {k: v for k, v in vec.items() if v}
+            if vec:
+                if vec[min(vec)] < 0:
+                    vec = {k: -v for k, v in vec.items()}
+                out.append(vec)
+    return out
+
+
 class CancellingComplex:
     """A cochain complex under Gaussian cancellation (algebraic Morse theory).
 
@@ -468,6 +531,11 @@ class CancellingComplex:
     brings its own rule for which unit entries may be cancelled; `reduce`
     offers them in rounds ordered by (Markowitz fill estimate, degree, row,
     column).
+
+    A cancellation through d_i[t][s] is two steps: `_schur` updates d_i,
+    and `_drop` retires s and t from d_{i-1}, d_{i+1} and `alive`.  These
+    and `export` are the whole kernel; the group-ring subclass runs them
+    once per power of its automorphism.
     """
 
     def __init__(self, dims: dict[int, int], mats: dict[int, SparseIntMatrix]):
@@ -475,14 +543,20 @@ class CancellingComplex:
         self.mats = {i: m for i, m in mats.items() if m.rows}
 
     def cancel(self, i: int, t: int, s: int) -> None:
-        """Cancel the unit entry d_i[t][s]; t in degree i+1, s in degree i.
+        """Cancel the unit entry d_i[t][s]; t in degree i+1, s in degree i."""
+        self._schur(i, t, s)
+        self._drop(i, s, t)
 
-        Rows keep their keys' order: an update changes entries in place and
-        appends fill-in in the order of row t.  No row is created, so the
-        order in which a column's rows are visited reaches no result.
+    def _schur(self, i: int, t: int, s: int) -> None:
+        """The Schur complement step on d_i through its unit lam = d_i[t][s].
+
+        Row t and column s leave d_i, and every other row r of column s
+        gains -lam * d_i[r][s] * (row t).  Rows keep their keys' order: an
+        update changes entries in place and appends fill-in in the order of
+        row t.  No row is created, so the order in which a column's rows are
+        visited reaches no result.
         """
-        mats = self.mats
-        m = mats[i]
+        m = self.mats[i]
         rows, cols = m.rows, m.cols
         prow = rows[t]
         lam = prow[s]
@@ -490,7 +564,7 @@ class CancellingComplex:
             raise InvariantError(f"cancelling a non-unit entry {lam}")
         del rows[t]
         del prow[s]
-        # Schur complement on d_i; lam in {1,-1} so 1/lam == lam
+        # lam in {1,-1} so 1/lam == lam
         for r in cols.pop(s):
             if r == t:
                 continue
@@ -516,7 +590,15 @@ class CancellingComplex:
             if not col:
                 del cols[c]
         if not rows:
-            del mats[i]
+            del self.mats[i]
+
+    def _drop(self, i: int, s: int, t: int) -> None:
+        """Retire s (degree i) and t (degree i+1) after a cancellation in d_i.
+
+        Row s leaves d_{i-1}, column t leaves d_{i+1} if it is stored there,
+        both leave `alive`, and a differential left empty is deleted.
+        """
+        mats = self.mats
         below = mats.get(i - 1)
         if below is not None:
             brow = below.rows.pop(s, None)
@@ -642,7 +724,8 @@ class OrbitCancellingComplex(CancellingComplex):
     Cancelling it removes both orbits whole, which is the n unit pivots
     (psi^k t, psi^k s) of the full basis taken together (equivariant
     discrete Morse theory).  Orbits that are not free are never cancelled,
-    so the survivors are whole orbits and psi still permutes them.
+    so the survivors are whole orbits and psi still permutes them.  With
+    n = 1 and the identity action this is the unit kernel, step for step.
     """
 
     def __init__(self, dims: dict[int, int], psi: dict[int, list[tuple[int, int]]],
@@ -697,128 +780,57 @@ class OrbitCancellingComplex(CancellingComplex):
     def cancel(self, i: int, t: int, s: int) -> None:
         """Cancel the orbits of t and of the lead s through the unit d_i[t][s].
 
-        With psi^k t = b_k T_k, the pivots (T_k, psi^k s) form a diagonal
-        block, so for each k every lead column c loses psi^k(column s)
-        scaled by lam * b_k * d[T_k][c], and the T_k rows go.  Then the rows
-        of s's orbit leave d_{i-1} and the lead column of t's leaves d_{i+1}.
+        The pivots (psi^k t, psi^k s) form a diagonal block, so they are
+        cancelled one after another by the unit kernel's steps, and no step
+        changes the pivot columns of the others.  Column psi^k s is not
+        stored, so it is first written in as psi^k of column s: that is the
+        column up to a sign, which does not change the Schur step.  A row
+        psi^k t that is zero on the lead columns leaves nothing to update.
         """
-        mats = self.mats
-        m = mats[i]
+        m = self.mats[i]
         rows, cols = m.rows, m.cols
-        lam = rows[t][s]
-        if lam != 1 and lam != -1:
-            raise InvariantError(f"cancelling a non-unit entry {lam}")
-        pcol = []
-        for r in cols.pop(s):
-            row = rows[r]
-            pcol.append((r, row.pop(s)))
-            if not row:
-                del rows[r]
-        psi = self.psi[i + 1]
-        cur, b = t, 1
-        for k in range(self.n):
-            if k:
-                cur, sg = psi[cur]
-                b *= sg
-                pcol = [(psi[r][0], psi[r][1] * y) for r, y in pcol]
-            prow = rows.pop(cur, None)
-            if prow is None:
-                continue
-            f = -lam * b
-            for r, y in pcol:
-                if r == cur:
-                    continue
-                coeff = f * y
-                row = rows.get(r)
-                if row is None:
-                    row = rows[r] = {}
-                for c, x in prow.items():
-                    old = row.get(c)
-                    if old is None:
-                        row[c] = coeff * x
-                        cols[c].add(r)
+        col = [(r, rows[r][s]) for r in cols[s]]
+        super().cancel(i, t, s)
+        psi_t, psi_s = self.psi[i + 1], self.psi[i]
+        for _ in range(1, self.n):
+            t, s = psi_t[t][0], psi_s[s][0]
+            col = [(psi_t[r][0], psi_t[r][1] * y) for r, y in col]
+            if t in rows:
+                for r, y in col:
+                    row = rows.get(r)
+                    if row is None:
+                        rows[r] = {s: y}
                     else:
-                        new = old + coeff * x
-                        if new:
-                            row[c] = new
-                        else:
-                            del row[c]
-                            cols[c].discard(r)
-                if not row:
-                    del rows[r]
-            for c in prow:
-                col = cols[c]
-                col.discard(cur)
-                if not col:
-                    del cols[c]
-        if not rows:
-            del mats[i]
-        orb_s = self.orbit[i][s]
-        below = mats.get(i - 1)
-        if below is not None:
-            brows, bcols = below.rows, below.cols
-            for e in orb_s:
-                brow = brows.pop(e, None)
-                if brow is not None:
-                    for c in brow:
-                        col = bcols[c]
-                        col.discard(e)
-                        if not col:
-                            del bcols[c]
-            if not brows:
-                del mats[i - 1]
-        lead_t = self.lead[i + 1][t]
-        above = mats.get(i + 1)
-        if above is not None:
-            acol = above.cols.pop(lead_t, None)
-            if acol is not None:
-                arows = above.rows
-                for r in acol:
-                    row = arows[r]
-                    del row[lead_t]
-                    if not row:
-                        del arows[r]
-                if not arows:
-                    del mats[i + 1]
-        self.alive[i].difference_update(orb_s)
-        self.alive[i + 1].difference_update(self.orbit[i + 1][lead_t])
+                        row[s] = y
+                cols[s] = {r for r, _ in col}
+                self._schur(i, t, s)
+            self._drop(i, s, t)
 
     def export(self):
-        """As `CancellingComplex.export`, with every orbit's columns expanded.
+        """As `CancellingComplex.export`, with every orbit's columns filled in.
 
         Member psi^k(lead) = a_k e_k of a surviving orbit has the column
-        a_k psi^k(d lead).  Columns are written orbit by orbit, leads
-        ascending.
+        a_k psi^k(d lead); it is written into `mats` on the original ids
+        before the renumbering.
         """
-        remap = {i: {e: k for k, e in enumerate(sorted(s))} for i, s in self.alive.items()}
-        dims = {i: len(s) for i, s in self.alive.items() if s}
-        diffs: dict[int, SparseIntMatrix] = {}
         for i, m in self.mats.items():
-            out = SparseIntMatrix(dims.get(i + 1, 0), dims.get(i, 0))
-            orows, ocols = out.rows, out.cols
-            tgt, src = remap[i + 1], remap[i]
+            rows, cols = m.rows, m.cols
             psi_t, psi_s = self.psi[i + 1], self.psi[i]
-            mrows = m.rows
-            for lead in sorted(m.cols):
-                vec = [(r, mrows[r][lead]) for r in m.cols[lead]]
+            for lead in list(cols):
+                vec = [(r, rows[r][lead]) for r in cols[lead]]
                 cur, a = lead, 1
-                for _ in self.orbit[i][lead]:
-                    c = src[cur]
-                    hit = set()
-                    for r, v in vec:
-                        tr = tgt[r]
-                        row = orows.get(tr)
-                        if row is None:
-                            orows[tr] = {c: a * v}
-                        else:
-                            row[c] = a * v
-                        hit.add(tr)
-                    ocols[c] = hit
+                for _ in range(len(self.orbit[i][lead]) - 1):
                     vec = [(psi_t[r][0], psi_t[r][1] * v) for r, v in vec]
                     cur, sg = psi_s[cur]
                     a *= sg
-            diffs[i] = out
-        return dims, diffs, remap
+                    for r, v in vec:
+                        row = rows.get(r)
+                        if row is None:
+                            rows[r] = {cur: a * v}
+                        else:
+                            row[cur] = a * v
+                    cols[cur] = {r for r, _ in vec}
+        return super().export()
 
 
 # ---------------------------------------------------------------------------

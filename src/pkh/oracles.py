@@ -18,6 +18,14 @@ from .errors import ValidationError
 from .homalg import SparseIntMatrix, cyclotomic, poly_divmod_exact, smith_normal_form
 from .polynomials import BiPolynomial, LaurentPoly
 
+# Size limits, so that an oversized request fails at once with one line
+# instead of running out of time or memory.
+MAX_ORDER = 4096  # p^n, and n of T(n, 2): poly_P at p^n = 4096 takes 1.7 s and prints 3.6 MB
+MAX_CIRCLES = 16  # k p^n + f of a trivial link: its torsion is listed with multiplicity,
+#                   up to 3.3 M factors at 16 circles and window 200
+MAX_WINDOW = 200  # hyper-Ext degrees: ekh t6_2 --d 2 costs 0.8 s at window 40 and
+#                   2.7 s and 81 MB at 160, growing linearly
+
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -30,6 +38,27 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _prime_power(p: int, n: int) -> int:
+    """p^n for a prime p and n >= 0, refused past MAX_ORDER.
+
+    A p over the limit is refused before the primality test, which is trial
+    division.
+    """
+    if n < 0:
+        raise ValidationError("n must be non-negative")
+    too_large = ValidationError(f"p^n over {MAX_ORDER} is not supported")
+    if p > MAX_ORDER:
+        raise too_large
+    if not _is_prime(p):
+        raise ValidationError("p must be prime")
+    pn = 1
+    for _ in range(n):
+        pn *= p
+        if pn > MAX_ORDER:
+            raise too_large
+    return pn
+
+
 def euler_phi(d: int) -> int:
     return sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
 
@@ -40,13 +69,9 @@ def poly_P(p: int, n: int) -> LaurentPoly:
     P_0 = q + 1/q; for n >= 1 the coefficient of q^(2k - p^n) counts free
     rotation orbits of basis labels with k symbols of positive degree.
     """
-    if not _is_prime(p):
-        raise ValidationError("p must be prime")
-    if n < 0:
-        raise ValidationError("n must be non-negative")
+    pn = _prime_power(p, n)
     if n == 0:
         return LaurentPoly.q_plus_qinv()
-    pn = p ** n
     acc: dict[int, int] = {}
     for k in range(1, pn):
         # labelings with k low symbols whose exact rotation period is p^n:
@@ -227,14 +252,15 @@ def trivial_link_ekh(p: int, n: int, k: int, f: int, u: int,
     Assembled from the orbit decomposition of the label space and cyclic
     group cohomology, through degree `window`.
     """
-    if not _is_prime(p):
-        raise ValidationError("p must be prime")
+    pn = _prime_power(p, n)
     if not 0 <= u <= n:
         raise ValidationError("need 0 <= u <= n")
     if k < 0 or f < 0:
         raise ValidationError("k and f must be non-negative")
-    if window < 0:
-        raise ValidationError("window must be non-negative")
+    if k * pn + f > MAX_CIRCLES:
+        raise ValidationError(f"{k * pn + f} circles: over {MAX_CIRCLES} is not supported")
+    if not 0 <= window <= MAX_WINDOW:
+        raise ValidationError(f"window must be between 0 and {MAX_WINDOW}")
     out: dict[tuple[int, int], list] = {}
 
     def add(i, j, free, torsion, mult):
@@ -268,8 +294,8 @@ def trivial_link_ekh(p: int, n: int, k: int, f: int, u: int,
 
 def torus_khp(n: int) -> BiPolynomial:
     """Khovanov polynomial of the two-strand torus link T(n, 2), n >= 2."""
-    if n < 2:
-        raise ValidationError("n must be >= 2")
+    if not 2 <= n <= MAX_ORDER:
+        raise ValidationError(f"n must be between 2 and {MAX_ORDER}")
     k, odd = divmod(n, 2)
     out: dict[tuple[int, int], int] = {}
     if odd:

@@ -19,9 +19,8 @@ from itertools import combinations
 
 from .complexes import DiagramComplex, build_complex, khovanov_homology
 from .diagram import Crossing, PeriodicDiagram, QuotientTangle
-from .equivariant import _eigen_basis
 from .errors import InvariantError, ValidationError
-from .homalg import CancellingComplex, SparseIntMatrix, int_rank, project
+from .homalg import CancellingComplex, SparseIntMatrix, int_rank, isotypic_basis, project
 
 # ---------------------------------------------------------------------------
 # resolved diagrams
@@ -397,15 +396,14 @@ def _build_slices(bic: OrbitResolutionBicomplex, sector: int | None):
                 raise ValidationError("sectors are defined for rotation order 2")
             if not bic.is_invariant():
                 raise ValidationError("sector projection needs an invariant X")
-            eps = 1 if sector == 1 else -1
             dims, levels, mats = {}, {}, {}
             gens, reps = {}, {}
             for i, basis in sl.basis.items():
-                g, rep = _eigen_basis(sl.psi(i), eps)
+                g = isotypic_basis(sl.psi(i), 1 if sector == 1 else 2)
                 if g:
                     dims[i] = len(g)
                     levels[i] = [bic.level(basis[min(vec)][0]) for vec in g]
-                gens[i], reps[i] = g, rep
+                gens[i], reps[i] = g, {min(vec): k for k, vec in enumerate(g)}
             for i in dims:
                 if i + 1 in dims:
                     mats[i] = project(sl.take_diff(i), gens[i], dims[i + 1], reps[i + 1])

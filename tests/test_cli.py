@@ -1,16 +1,19 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import pkh
 from pkh import corpus
-from pkh.cli import main
+from pkh.cli import _load, main
 from pkh.complexes import DiagramComplex
-from pkh.diagram import parse_diagram
+from pkh.diagram import MAX_CROSSINGS, parse_diagram
+from pkh.errors import ParseError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -169,3 +172,157 @@ class TestCommands:
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["polynomial"] == "1 + q^2 + t^2*q^4 + t^2*q^6"
+
+
+def run_cli_err(capsys, *argv):
+    """(exit code, stderr lines) of one in-process run."""
+    code = main(list(argv))
+    return code, capsys.readouterr().err.splitlines()
+
+
+class TestMalformedInput:
+    """Every malformed document exits 3 with one `error:` line."""
+
+    def hopf(self):
+        return corpus.corpus_specs()["hopf"]
+
+    def test_wrong_shapes_exit_3(self, capsys, tmp_path):
+        for field, value in (("crossings", 5), ("orient", [["a"]]), ("arcs", [1]),
+                             ("seam_in", 7), ("crossings", [{"id": 0, "slots": 3}])):
+            doc = self.hopf()
+            doc["tangle"][field] = value
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            code, err = run_cli_err(capsys, "kh", str(path))
+            assert code == 3, (field, value)
+            assert len(err) == 1 and err[0].startswith("error: "), (field, err)
+
+    def test_not_utf8_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(self.hopf()).encode())
+        code, err = run_cli_err(capsys, "kh", str(path))
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_deep_nesting_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code, err = run_cli_err(capsys, "kh", str(path))
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
+# values of other JSON types put in place of a field
+RETYPES = (None, "x", 5, 1.5, True, [], {}, [["a"]], [1], -1)
+
+
+def json_paths(node, at=()):
+    """Paths to every value below the document root."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield at + (key,)
+        yield from json_paths(value, at + (key,))
+
+
+def mutants(text, rng, count):
+    """Seeded mutants of a document: a field dropped or retyped, the text
+    truncated, or bytes of any value inserted."""
+    raw = text.encode()
+    paths = list(json_paths(json.loads(text)))
+    for _ in range(count):
+        kind = rng.choice(("drop", "retype", "truncate", "bytes"))
+        if kind in ("drop", "retype"):
+            doc = json.loads(text)
+            *head, key = rng.choice(paths)
+            parent = doc
+            for k in head:
+                parent = parent[k]
+            if kind == "drop":
+                del parent[key]
+            else:
+                parent[key] = rng.choice(RETYPES)
+            yield kind, json.dumps(doc).encode()
+        elif kind == "truncate":
+            yield kind, raw[:rng.randrange(len(raw))]
+        else:
+            at = rng.randrange(len(raw) + 1)
+            noise = bytes(rng.randrange(256) for _ in range(rng.randint(1, 4)))
+            yield kind, raw[:at] + noise + raw[at:]
+
+
+def test_mutated_corpus_files_parse_or_exit_3(capsys, corpus_dir, tmp_path):
+    """Each mutant of each corpus file parses or exits 3 with one line.
+
+    A mutant that is well formed but over the crossing limit exits 1 with
+    one line instead.
+    """
+    rng = random.Random(17)
+    path = tmp_path / "mutant.json"
+    outcomes = {"parsed": 0, "parse error": 0, "too large": 0}
+    for source in sorted(corpus_dir.glob("*.json")):
+        for kind, data in mutants(source.read_text(), rng, 12):
+            path.write_bytes(data)
+            where = (source.name, kind, data[:200])
+            try:
+                _load(str(path))
+            except ParseError:
+                code, err = run_cli_err(capsys, "kh", str(path))
+                assert code == 3, where
+                assert len(err) == 1 and err[0].startswith("error: "), (where, err)
+                outcomes["parse error"] += 1
+            except ValidationError as exc:
+                assert "crossings" in str(exc), where
+                code, err = run_cli_err(capsys, "kh", str(path))
+                assert code == 1 and len(err) == 1, (where, err)
+                outcomes["too large"] += 1
+            else:
+                outcomes["parsed"] += 1
+    assert outcomes["parse error"] > 500, outcomes
+
+
+class TestSizeGuards:
+    """Oversized input exits 1 with one line, in well under a second."""
+
+    def write(self, tmp_path, word, strands, n):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(corpus.braid_tangle(word, strands, n)))
+        return str(path)
+
+    def assert_refused(self, capsys, *argv):
+        start = time.perf_counter()
+        code, err = run_cli_err(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 1, argv
+        assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+
+    def test_crossing_limit(self, capsys, tmp_path):
+        flat = self.write(tmp_path, (1,) * (MAX_CROSSINGS + 1), 2, 1)
+        self.assert_refused(capsys, "kh", flat)
+        periodic = self.write(tmp_path, (1, -2, 1), 3, MAX_CROSSINGS)
+        self.assert_refused(capsys, "verify", periodic)
+
+    def test_window_limit(self, capsys, corpus_dir):
+        self.assert_refused(capsys, "ekh", str(corpus_dir / "hopf.json"), "--d", "2",
+                            "--window", "201")
+        self.assert_refused(capsys, "oracle", "trivial", "--p", "2", "--n", "1", "--k", "1",
+                            "--f", "0", "--u", "0", "--window", "201")
+
+    def test_oracle_limits(self, capsys):
+        self.assert_refused(capsys, "oracle", "poly-p", "--p", "2", "--n", "40")
+        self.assert_refused(capsys, "oracle", "poly-p", "--p", "1000003", "--n", "1")
+        self.assert_refused(capsys, "oracle", "trivial", "--p", "3", "--n", "30", "--k", "1",
+                            "--f", "0", "--u", "0")
+        self.assert_refused(capsys, "oracle", "trivial", "--p", "2", "--n", "2", "--k", "1",
+                            "--f", "13", "--u", "0")
+        self.assert_refused(capsys, "oracle", "torus", "--n", "100000000")
+
+    def test_limits_admit_the_largest_corpus_inputs(self, capsys, corpus_dir):
+        assert corpus.build("t8_2").ncross <= MAX_CROSSINGS
+        code, out = run_cli(capsys, "ekh", str(corpus_dir / "hopf.json"), "--d", "2",
+                            "--window", "200")
+        assert code == 0 and json.loads(out)["window"] == 200

@@ -4,12 +4,12 @@ import pytest
 
 from pkh import corpus
 from pkh.complexes import build_complex
-from pkh.equivariant import (EquivariantSlice, _isotypic_basis, _totalize,
-                             equivariant_reduce)
+from pkh.equivariant import EquivariantSlice, _totalize, equivariant_reduce
 from pkh.errors import ValidationError
-from pkh.homalg import (FreeComplex, GroupRingElt, SparseIntMatrix, cofactor,
-                        cyclotomic, eval_group_ring, idempotent_int_scaled,
-                        int_rank, norm_element, poly_mul, project,
+from pkh.homalg import (FreeComplex, GroupRingElt, OrbitCancellingComplex,
+                        SparseIntMatrix, cofactor, cyclotomic, eval_group_ring,
+                        idempotent_int_scaled, int_rank, isotypic_basis,
+                        norm_element, poly_mul, project,
                         rational_idempotents, reduce_unit_pivots,
                         smith_normal_form)
 
@@ -493,7 +493,7 @@ def slice_ext(red, n, d):
 
 def slice_isotypic(red, d):
     """Rank of the Phi_d-isotypic homology per degree, as rational_equivariant takes it."""
-    iso = {i: _isotypic_basis(red.psi[i], d) for i in red.dims}
+    iso = {i: isotypic_basis(red.psi[i], d) for i in red.dims}
     rank = {i: int_rank(project(red.diffs[i], iso[i], red.dims[i + 1]))
             for i in red.dims if iso[i] and i in red.diffs}
     return {i: len(iso[i]) - rank.get(i, 0) - rank.get(i - 1, 0) for i in red.dims}
@@ -539,6 +539,26 @@ def assert_same_complex(got_dims, got_diffs, want_dims, want_diffs, where):
 
 
 SMALL = [name for name in corpus.corpus_names() if corpus.build(name).ncross <= 8]
+
+
+def kernel_inputs():
+    """(where, complex) for test_unit_reduction_matches_reference's inputs.
+
+    The same seeded random complexes, then every slice of every `SMALL`
+    diagram, each built fresh.
+    """
+    rng = random.Random(29)
+    for k in range(20):
+        yield ("random", k), _random_complex(rng)
+    for shift, gap, n in ((-3, 0, 9), (-7, 4, 17), (-1, 9, 5), (-40, 70, 33)):
+        yield ("random", shift), _direct_sum((_random_complex(rng, n), shift),
+                                             (_dual(_random_complex(rng, n)), shift + 5 + gap))
+    for name in SMALL:
+        cx = build_complex(corpus.build(name))
+        for j in cx.quantum_range():
+            sl = cx.slice(j)
+            if sl.basis:
+                yield (name, j), sl.to_free_complex()
 
 
 class TestCancellationKernel:
@@ -592,6 +612,27 @@ class TestCancellationKernel:
                     assert slice_ext(got, D.n, d) == slice_ext(want, D.n, d), where
                     assert slice_isotypic(got, d) == slice_isotypic(want, d), where
 
+    def test_orbit_kernel_with_trivial_action_is_the_unit_kernel(self):
+        """n = 1 and the identity action: the orbit kernel reduces as the unit one.
+
+        Every id is then the lead of its own free orbit, so the build takes
+        every column and each orbit cancellation is one unit cancellation.
+        """
+        for where, cx in kernel_inputs():
+            mats = {i: m.copy() for i, m in cx.diffs.items()}
+
+            def build(i, leads):
+                assert list(leads) == list(range(cx.dims[i])), where
+                return mats.get(i, SparseIntMatrix(cx.dims[i + 1], cx.dims[i]))
+
+            psi = {i: [(e, 1) for e in range(dim)] for i, dim in cx.dims.items()}
+            red = OrbitCancellingComplex(cx.dims, psi, 1, build)
+            red.reduce(red.free_pivot)
+            dims, diffs, _ = red.export()
+            want = reduce_unit_pivots(FreeComplex(cx.dims, {i: m.copy() for i, m in cx.diffs.items()}))
+            assert_same_complex({i: dims.get(i, 0) for i in cx.dims}, diffs,
+                                want.dims, want.diffs, where)
+
     def test_totalize_matches_add_based_copy(self):
         for name in ("hopf", "t4_2", "borromean_n3", "trivial_p2_k1_f2", "t3_2_flat"):
             D = corpus.build(name)
@@ -611,6 +652,36 @@ class TestCancellationKernel:
                         for m, mat in want.diffs.items():
                             assert [(c, list(col)) for c, col in got.diffs[m].cols.items()] == \
                                 [(c, list(col)) for c, col in mat.cols.items()], (name, j, d, m)
+
+    def test_isotypic_basis_at_d1_d2_is_the_eigenlattice(self):
+        rng = random.Random(37)
+        for _ in range(40):
+            # a signed permutation: cycles of random lengths and signs
+            ids = list(range(rng.randint(1, 12)))
+            rng.shuffle(ids)
+            psi = [None] * len(ids)
+            cycles = []
+            while ids:
+                k = rng.randint(1, min(4, len(ids)))
+                cyc, ids = ids[:k], ids[k:]
+                cycles.append(cyc)
+                for k, e in enumerate(cyc):
+                    psi[e] = (cyc[(k + 1) % len(cyc)], rng.choice((1, -1)))
+            for d, eps in ((1, 1), (2, -1)):
+                gens = isotypic_basis(psi, d)
+                want = 0
+                for cyc in cycles:
+                    sigma = 1
+                    for e in cyc:
+                        sigma *= psi[e][1]
+                    want += sigma * eps ** len(cyc) == 1
+                assert len(gens) == want
+                for v in gens:
+                    assert v[min(v)] == 1 and set(v.values()) <= {1, -1}
+                    assert any(set(v) == set(cyc) for cyc in cycles)
+                    image = {psi[e][0]: psi[e][1] * c for e, c in v.items()}
+                    assert image == {e: eps * c for e, c in v.items()}
+                assert [min(v) for v in gens] == sorted(min(v) for v in gens)
 
     def test_project_matches_dense_product(self):
         rng = random.Random(31)

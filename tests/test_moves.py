@@ -15,6 +15,12 @@ Crossings after a move are capped per n to keep the file fast.  The
 equivariant groups are compared up to two degrees past the most crossings
 a closure can have, which covers every classical degree and the start of
 the two-periodic tail.
+
+Every closure drawn also runs the per-diagram suite: d^2 = 0 on each
+slice, the rotation a chain automorphism of order n, and the graded Euler
+characteristic of the homology equal to the state sum.  Each unmoved
+closure also passes the tail checks at every d | n (each n here is a prime
+power).
 """
 
 import random
@@ -23,9 +29,10 @@ from functools import lru_cache
 import pytest
 
 from pkh import corpus
-from pkh.complexes import khovanov_homology
+from pkh.action import verify_module_structure
+from pkh.complexes import build_complex, graded_euler_characteristic, khovanov_homology
 from pkh.diagram import diagram_from_dict
-from pkh.equivariant import ext_groups, rational_equivariant, total_comparison
+from pkh.equivariant import ext_groups, rational_equivariant, tail_checks, total_comparison
 
 MAX_CROSSINGS = {2: 10, 3: 9, 4: 8}
 WORDS_PER_CASE = 3
@@ -110,6 +117,43 @@ class TestGenerator:
         assert moved[1:-1] == w and moved[0] == -moved[-1]
         moved = insert_r2(rng, w, 3)
         assert len(moved) == 5 and any(moved[k] == -moved[k + 1] for k in range(4))
+
+
+def closures(n):
+    """{(word, strands): drawn unmoved} for every closure the move tests use."""
+    out = {}
+    for move in sorted(MOVES):
+        for word, strands, moved in generate(move, n, 0):
+            out[(word, strands)] = True
+            out.setdefault((moved, strands), False)
+    return out
+
+
+@pytest.mark.parametrize("n", sorted(MAX_CROSSINGS))
+def test_per_diagram_suite(n):
+    """The chain-level checks on every closure, the tail checks on the unmoved.
+
+    A moved closure has the unmoved one's equivariant groups (the move
+    tests compare them), so its tail is checked through them.  This runs
+    before the move tests, so the differentials it builds are the ones
+    they reduce.
+    """
+    for (word, strands), unmoved in closures(n).items():
+        D = closure(word, strands, n)
+        where = (n, strands, word)
+        cx = build_complex(D)
+        for j in cx.quantum_range():
+            sl = cx.slice(j)
+            if sl.basis:
+                sl.to_free_complex().check_composes()
+        assert verify_module_structure(D)["ok"], where
+        # the free ranks of the integral groups, which the move tests share
+        poincare = khovanov_homology(D, "Z").poincare()
+        assert poincare.at_t_minus_one() == graded_euler_characteristic(D), where
+        if unmoved:
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    assert tail_checks(D, d)["ok"], (where, d)
 
 
 @pytest.mark.parametrize("n", sorted(MAX_CROSSINGS))
