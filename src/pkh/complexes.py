@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .diagram import PeriodicDiagram, _as_state
+from .diagram import MAX_RANK, PeriodicDiagram, _as_state
 from .errors import InvariantError, ValidationError
-from .homalg import FreeComplex, SparseIntMatrix, reduce_unit_pivots
+from .homalg import FreeComplex, SparseIntMatrix, isotypic_basis, project, reduce_unit_pivots
 from .polynomials import BiPolynomial, LaurentPoly
 
 
@@ -119,12 +119,20 @@ class DiagramComplex:
         self._labellings: dict[tuple[int, int], Labellings] = {}
 
     def buckets(self) -> dict[tuple[int, int], list[int]]:
-        """Smoothings keyed by (weight, circle count), each list ascending."""
+        """Smoothings keyed by (weight, circle count), each list ascending.
+
+        Refuses a diagram whose chain rank is over `MAX_RANK`; every slice is
+        built from these buckets, so nothing of its size is built before.
+        """
         if self._buckets is None:
             D = self.D
             out: dict[tuple[int, int], list[int]] = {}
             for bits in range(1 << D.ncross):
                 out.setdefault((bits.bit_count(), D.state_data(bits).n_circ), []).append(bits)
+            rank = sum(len(states) << nc for (_, nc), states in out.items())
+            if rank > MAX_RANK:
+                raise ValidationError(f"chain rank {rank}: diagrams over {MAX_RANK} "
+                                      f"generators are not supported")
             self._buckets = out
         return self._buckets
 
@@ -302,6 +310,23 @@ class SliceComplex:
         m = self.diff(i)
         self._diffs.pop(i, None)
         return m
+
+    def eigen(self, d: int):
+        """The slice on the +1 (d = 1) or -1 (d = 2) eigenlattice of psi.
+
+        Returns (gens, dims, diffs): gens[i] is `isotypic_basis(psi(i), d)`,
+        one vector per orbit with its least id at +1; dims the nonzero ranks;
+        diffs[i] the taken d_i on gens[i], each image read at the least ids
+        of gens[i + 1], which is where an eigenvector's coordinates are.
+        """
+        gens = {i: isotypic_basis(self.psi(i), d) for i in self.basis}
+        dims = {i: len(g) for i, g in gens.items() if g}
+        diffs = {}
+        for i in dims:
+            if i + 1 in dims:
+                at = {min(v): k for k, v in enumerate(gens[i + 1])}
+                diffs[i] = project(self.take_diff(i), gens[i], dims[i + 1], at)
+        return gens, dims, diffs
 
     def psi(self, i: int) -> list[tuple[int, int]]:
         """Generator action as a signed permutation: index -> (index, sign)."""

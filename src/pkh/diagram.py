@@ -20,6 +20,15 @@ from .errors import ParseError, ValidationError
 # 28.6 s and 521 MB on `pkh verify`, and each further crossing about doubles
 # both: 16 crossings is about two minutes and 2 GB.
 MAX_CROSSINGS = 16
+# n times the tangle's arc count (at least one), checked before the n copies
+# are glued: gluing 10^6 copies of one arc takes 8 s, and `pkh verify` works
+# in Q[t]/(t^n - 1), which at n = 1020 takes 23 s.  The corpus reaches 44.
+MAX_ARC_PIECES = 256
+# The chain rank, the sum over smoothings of 2^circles, checked when the
+# smoothings are first enumerated.  t8_2 has rank 366,852; a crossingless
+# unlink has no differential to cancel, and at 19 circles (rank 524,288)
+# `pkh ekh --d 2` took 55 s and 1.2 GB.
+MAX_RANK = 400_000
 
 
 @dataclass(frozen=True)
@@ -136,6 +145,10 @@ class PeriodicDiagram:
         if n * len(tangle.crossings) > MAX_CROSSINGS:
             raise ValidationError(f"{n * len(tangle.crossings)} crossings: diagrams over "
                                   f"{MAX_CROSSINGS} crossings are not supported")
+        pieces = n * max(len(tangle.arcs), 1)
+        if pieces > MAX_ARC_PIECES:
+            raise ValidationError(f"{pieces} arc copies (n times the tangle arcs): diagrams "
+                                  f"over {MAX_ARC_PIECES} are not supported")
         self.tangle = tangle
         self.n = n
         self.ncross_t = len(tangle.crossings)
@@ -242,11 +255,6 @@ class PeriodicDiagram:
             out |= seg << (copy * t)
         return out
 
-    def per_copy_weights(self, bits: int) -> tuple[int, ...]:
-        t = self.ncross_t
-        mask = (1 << t) - 1
-        return tuple(((bits >> (copy * t)) & mask).bit_count() for copy in range(self.n))
-
     def state_data(self, bits: int) -> _StateData:
         sd = self._states.get(bits)
         if sd is None:
@@ -325,16 +333,8 @@ class KauffmanState:
         return cls(diagram, bits)
 
     @property
-    def assignment(self) -> tuple[int, ...]:
-        return tuple((self.bits >> g) & 1 for g in range(self.diagram.ncross))
-
-    @property
     def r(self) -> int:
         return self.bits.bit_count()
-
-    @property
-    def per_copy_weights(self) -> tuple[int, ...]:
-        return self.diagram.per_copy_weights(self.bits)
 
     @property
     def circles(self) -> tuple[frozenset[int], ...]:

@@ -3,8 +3,14 @@
 Integrally, the triply graded groups are hyper-Ext of the cyclotomic module
 Z[xi_d] into the Khovanov complex over Z[t]/(t^n - 1), computed from the
 two-periodic resolution whose maps alternate between multiplication by
-Phi_d(t) and by (t^n - 1)/Phi_d(t).  Exactness of that resolution holds for
-every d | n because Z[t] is a domain, and is verified mechanically.
+Phi_d(t) and by (t^n - 1)/Phi_d(t).  `PeriodicResolution` owns those maps:
+`ext_groups` takes from it the two multipliers, evaluated at the action on
+each chain group, and the number of columns of the Hom double complex.
+Exactness of the resolution holds for every d | n because Z[t] is a domain,
+and is verified mechanically on its regular-representation matrices.
+
+The underived Hom from Z or Z_- is the slice on the +1 or -1 eigenlattice,
+`SliceComplex.eigen`, which the sector pages of the spectral sequence share.
 
 Rationally the group algebra is semisimple, so the computation reduces to
 projecting the complex onto the Phi_d-isotypic summand and taking homology;
@@ -28,9 +34,8 @@ from dataclasses import dataclass, field
 from .complexes import GradedAbGroup, SliceComplex, build_complex, khovanov_homology
 from .diagram import PeriodicDiagram
 from .errors import InvariantError, ValidationError
-from .homalg import (FreeComplex, GroupRingElt, OrbitCancellingComplex,
-                     SparseIntMatrix, cofactor, cyclotomic, eval_group_ring,
-                     int_rank, isotypic_basis, project)
+from .homalg import (FreeComplex, OrbitCancellingComplex, SparseIntMatrix, cofactor,
+                     cyclotomic, eval_group_ring, int_rank, isotypic_basis, project)
 from .oracles import MAX_WINDOW, euler_phi
 from .polynomials import BiPolynomial
 
@@ -60,7 +65,9 @@ class PeriodicResolution:
         return self.phi if k % 2 else self.cof
 
     def map_matrix(self, k: int) -> SparseIntMatrix:
-        return GroupRingElt.from_poly(self.n, self.map_poly(k)).mult_matrix()
+        """The k-th map on the basis 1, t, ..., t^(n-1): t acts as the cyclic shift."""
+        n = self.n
+        return eval_group_ring(self.map_poly(k), [((e + 1) % n, 1) for e in range(n)], n)
 
     def augmentation(self) -> SparseIntMatrix:
         """P_0 = Z[t]/(t^n-1) onto Z[xi_d] = Z[t]/Phi_d, as a matrix."""
@@ -203,15 +210,13 @@ def ext_groups(diagram: PeriodicDiagram, d: int, window: int | None = None) -> E
     beyond the window that no boundary effects reach it.
     """
     n = diagram.n
-    _check_divisor(n, d)
     if window is None:
         window = 2 * diagram.ncross + 6
     if not 0 <= window <= MAX_WINDOW:
         raise ValidationError(f"window must be between 0 and {MAX_WINDOW}")
+    res = PeriodicResolution(n, d, window + diagram.n_minus + 2)  # columns 0..length-1
+    phi, cof = res.map_poly(1), res.map_poly(2)
     cx = build_complex(diagram)
-    cols = window + diagram.n_minus + 2  # columns 0..cols-1
-    phi = GroupRingElt.from_poly(n, cyclotomic(d)).coeffs
-    cof = GroupRingElt.from_poly(n, cofactor(d, n)).coeffs
     out: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for j in cx.quantum_range():
         sl = cx.slice(j)
@@ -223,9 +228,8 @@ def ext_groups(diagram: PeriodicDiagram, d: int, window: int | None = None) -> E
         horiz = {}
         for i, dim in red.dims.items():
             psi = red.psi[i]
-            horiz[i] = (eval_group_ring(list(phi), psi, dim),
-                        eval_group_ring(list(cof), psi, dim))
-        tot = _totalize(red, horiz, cols, window + 1)
+            horiz[i] = (eval_group_ring(phi, psi, dim), eval_group_ring(cof, psi, dim))
+        tot = _totalize(red, horiz, res.length, window + 1)
         hom = tot.homology()
         for m, grp in hom.items():
             if m <= window:
@@ -310,22 +314,8 @@ def hom_cohomology(diagram: PeriodicDiagram, module: str = "trivial") -> GradedA
         sl = cx.slice(j)
         if not sl.basis:
             continue
-        bases: dict[int, list[dict[int, int]]] = {}
-        reps: dict[int, dict[int, int]] = {}  # orbit rep index -> generator col
-        for i in sorted(sl.basis):
-            gens = isotypic_basis(sl.psi(i), d)
-            bases[i] = gens
-            reps[i] = {min(v): k for k, v in enumerate(gens)}
-        dims = {i: len(g) for i, g in bases.items() if g}
-        diffs: dict[int, SparseIntMatrix] = {}
-        for i in dims:
-            if i + 1 not in dims:
-                continue
-            mat = project(sl.diff(i), bases[i], dims[i + 1], reps[i + 1])
-            if not mat.is_zero():
-                diffs[i] = mat
-        hom = FreeComplex(dims, diffs).homology()
-        for i, grp in hom.items():
+        _, dims, diffs = sl.eigen(d)
+        for i, grp in FreeComplex(dims, diffs).homology().items():
             out[(i, j)] = grp
     return GradedAbGroup.from_dict(out)
 

@@ -1,11 +1,17 @@
 """Exact linear algebra over Z and arithmetic in Z[t]/(t^n - 1).
 
 Sparse integer matrices with arbitrary-precision entries, Smith normal form
-with growth-aware pivoting, homology of finite free cochain complexes
+with growth-aware pivoting, and homology of finite free cochain complexes
 (compressed first by unit-pivot Gaussian cancellation, which preserves
-integral homology exactly), and group-ring utilities: cyclotomic factors of
-t^n - 1, rational idempotents, isotypic bases, and evaluation of ring
-elements on a chain automorphism.
+integral homology exactly).
+
+The group ring acts on a complex through a chain automorphism psi, a signed
+permutation of each basis.  A ring element is a plain coefficient list in
+ascending degree (`cyclotomic`, `cofactor`), and `eval_group_ring` gives its
+matrix at psi; at the cyclic shift of 1, t, ..., t^(n-1) that is the regular
+representation.  The cycles of psi are walked in one place, `orbits`, which
+serves the isotypic bases and the orbit cancellation.  `rational_idempotents`
+gives the central idempotents of Q[t]/(t^n - 1).
 
 One Gaussian-cancellation step serves every engine.  `CancellingComplex`
 holds its only copy: the Schur update from a pivot row, the removal of the
@@ -465,6 +471,30 @@ def project(d: SparseIntMatrix, gens: list[dict[int, int]], nrows: int,
     return out
 
 
+def orbits(psi: list[tuple[int, int]]):
+    """The cycles of a signed permutation (psi[e] = (image, sign)), by least id.
+
+    Yields (ids, signs, sigma) per cycle: ids[0] is its least id, and
+    psi^k(e_{ids[0]}) = signs[k] e_{ids[k]} for k < L = len(ids), so
+    psi(ids[k]) = (ids[k+1], signs[k] * signs[k+1]); psi^L acts on the
+    cycle as the sign sigma.
+    """
+    seen = bytearray(len(psi))
+    for start in range(len(psi)):
+        if seen[start]:
+            continue
+        ids, signs = [start], [1]
+        nxt, a = psi[start]
+        while nxt != start:
+            ids.append(nxt)
+            signs.append(a)
+            nxt, s = psi[nxt]
+            a *= s
+        for e in ids:
+            seen[e] = 1
+        yield ids, signs, a
+
+
 def isotypic_basis(psi: list[tuple[int, int]], d: int) -> list[dict[int, int]]:
     """Integer basis of the Phi_d-isotypic subspace of a signed permutation.
 
@@ -475,25 +505,8 @@ def isotypic_basis(psi: list[tuple[int, int]], d: int) -> list[dict[int, int]]:
     eigenlattices, so `{min(v): k}` locates each vector's orbit.
     """
     out: list[dict[int, int]] = []
-    seen = [False] * len(psi)
     phi_d = len(cyclotomic(d)) - 1
-    for start in range(len(psi)):
-        if seen[start]:
-            continue
-        elems = [start]
-        signs = [1]
-        cur, a = start, 1
-        while True:
-            nxt, s = psi[cur]
-            a *= s
-            if nxt == start:
-                sigma = a
-                break
-            elems.append(nxt)
-            signs.append(a)
-            cur = nxt
-        for k in elems:
-            seen[k] = True
+    for elems, signs, sigma in orbits(psi):
         L = len(elems)
         if sigma == 1:
             # Phi_d divides t^L - 1 iff d | L
@@ -732,20 +745,14 @@ class OrbitCancellingComplex(CancellingComplex):
                  n: int, build):
         self.psi, self.n = psi, n
         self.lead: dict[int, list[int]] = {}            # id -> lead of its orbit
-        self.orbit: dict[int, dict[int, tuple[int, ...]]] = {}  # lead -> psi^k(lead) ids
+        self.orbit: dict[int, dict[int, list[int]]] = {}  # lead -> psi^k(lead) ids
         for i, p in psi.items():
-            lead = [-1] * len(p)
+            lead = [0] * len(p)
             orbit = {}
-            for e in range(len(p)):
-                if lead[e] < 0:
-                    members = [e]
-                    lead[e] = e
-                    cur = p[e][0]
-                    while cur != e:
-                        members.append(cur)
-                        lead[cur] = e
-                        cur = p[cur][0]
-                    orbit[e] = tuple(members)
+            for ids, _, _ in orbits(p):
+                for e in ids:
+                    lead[e] = ids[0]
+                orbit[ids[0]] = ids
             self.lead[i], self.orbit[i] = lead, orbit
         super().__init__(dims, {i: build(i, self.orbit[i].keys()) for i in dims if i + 1 in dims})
 
@@ -834,7 +841,7 @@ class OrbitCancellingComplex(CancellingComplex):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Z, cyclotomic factors, group ring
+# polynomials over Z, cyclotomic factors, group-ring elements
 
 
 def poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -892,54 +899,6 @@ def cofactor(d: int, n: int) -> list[int]:
     return poly_divmod_exact(tn1, cyclotomic(d))
 
 
-@dataclass(frozen=True)
-class GroupRingElt:
-    """Element of Z[t]/(t^n - 1) as a coefficient vector of length n."""
-
-    n: int
-    coeffs: tuple[int, ...]
-
-    @classmethod
-    def from_poly(cls, n: int, poly: list[int]) -> "GroupRingElt":
-        c = [0] * n
-        for k, v in enumerate(poly):
-            c[k % n] += v
-        return cls(n, tuple(c))
-
-    @classmethod
-    def t_power(cls, n: int, k: int) -> "GroupRingElt":
-        c = [0] * n
-        c[k % n] = 1
-        return cls(n, tuple(c))
-
-    def __add__(self, other: "GroupRingElt") -> "GroupRingElt":
-        return GroupRingElt(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElt(self.n, tuple(a * other for a in self.coeffs))
-        out = [0] * self.n
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[(i + j) % self.n] += a * b
-        return GroupRingElt(self.n, tuple(out))
-
-    def mult_matrix(self) -> SparseIntMatrix:
-        """Matrix of multiplication by self on Z[t]/(t^n-1), basis 1..t^{n-1}."""
-        m = SparseIntMatrix(self.n, self.n)
-        for j in range(self.n):
-            for k, a in enumerate(self.coeffs):
-                if a:
-                    m.add((j + k) % self.n, j, a)
-        return m
-
-
-def norm_element(n: int) -> GroupRingElt:
-    return GroupRingElt(n, tuple([1] * n))
-
-
 def rational_idempotents(n: int) -> dict[int, tuple[Fraction, ...]]:
     """Central idempotents e_d of Q[t]/(t^n-1), one per divisor d of n.
 
@@ -959,18 +918,6 @@ def rational_idempotents(n: int) -> dict[int, tuple[Fraction, ...]]:
             coeffs[k % n] += v
         out[d] = tuple(coeffs)
     return out
-
-
-def idempotent_int_scaled(n: int, d: int) -> GroupRingElt:
-    """n * e_d, which has integer coefficients."""
-    e = rational_idempotents(n)[d]
-    ints = []
-    for c in e:
-        v = c * n
-        if v.denominator != 1:
-            raise InvariantError("idempotent denominator does not divide n")
-        ints.append(int(v))
-    return GroupRingElt(n, tuple(ints))
 
 
 def _fpoly_trim(a):

@@ -255,8 +255,8 @@ def trivial_link_ekh(p: int, n: int, k: int, f: int, u: int,
     pn = _prime_power(p, n)
     if not 0 <= u <= n:
         raise ValidationError("need 0 <= u <= n")
-    if k < 0 or f < 0:
-        raise ValidationError("k and f must be non-negative")
+    if k < 0 or f < 0 or k + f == 0:
+        raise ValidationError("k and f must be non-negative, with k + f >= 1 components")
     if k * pn + f > MAX_CIRCLES:
         raise ValidationError(f"{k * pn + f} circles: over {MAX_CIRCLES} is not supported")
     if not 0 <= window <= MAX_WINDOW:
@@ -271,7 +271,7 @@ def trivial_link_ekh(p: int, n: int, k: int, f: int, u: int,
         slot[1].extend(list(torsion) * mult)
 
     for s in range(n + 1):
-        qd = qdim_M(p, n, s, k, f) if k + f else LaurentPoly.zero()
+        qd = qdim_M(p, n, s, k, f)
         if s > 0 and k == 0:
             continue  # no free orbits, higher isotropy blocks are empty
         for j, dj in qd.items():

@@ -20,7 +20,7 @@ from itertools import combinations
 from .complexes import DiagramComplex, build_complex, khovanov_homology
 from .diagram import Crossing, PeriodicDiagram, QuotientTangle
 from .errors import InvariantError, ValidationError
-from .homalg import CancellingComplex, SparseIntMatrix, int_rank, isotypic_basis, project
+from .homalg import CancellingComplex, SparseIntMatrix, int_rank
 
 # ---------------------------------------------------------------------------
 # resolved diagrams
@@ -252,10 +252,6 @@ class OrbitResolutionBicomplex:
     def level(self, bits: int) -> int:
         return (bits & self.xmask).bit_count()
 
-    def levels(self, j: int) -> dict[int, list[int]]:
-        sl = self.complex.slice(j)
-        return {i: [self.level(b) for b, _ in basis] for i, basis in sl.basis.items()}
-
     def is_invariant(self) -> bool:
         D = self.diagram
         rot = 0
@@ -396,17 +392,8 @@ def _build_slices(bic: OrbitResolutionBicomplex, sector: int | None):
                 raise ValidationError("sectors are defined for rotation order 2")
             if not bic.is_invariant():
                 raise ValidationError("sector projection needs an invariant X")
-            dims, levels, mats = {}, {}, {}
-            gens, reps = {}, {}
-            for i, basis in sl.basis.items():
-                g = isotypic_basis(sl.psi(i), 1 if sector == 1 else 2)
-                if g:
-                    dims[i] = len(g)
-                    levels[i] = [bic.level(basis[min(vec)][0]) for vec in g]
-                gens[i], reps[i] = g, {min(vec): k for k, vec in enumerate(g)}
-            for i in dims:
-                if i + 1 in dims:
-                    mats[i] = project(sl.take_diff(i), gens[i], dims[i + 1], reps[i + 1])
+            gens, dims, mats = sl.eigen(1 if sector == 1 else 2)
+            levels = {i: [bic.level(sl.basis[i][min(v)][0]) for v in gens[i]] for i in dims}
         if dims:
             slices[j] = _FilteredSlice(dims, levels, mats, L)
     return slices

@@ -12,7 +12,7 @@ import pkh
 from pkh import corpus
 from pkh.cli import _load, main
 from pkh.complexes import DiagramComplex
-from pkh.diagram import MAX_CROSSINGS, parse_diagram
+from pkh.diagram import MAX_ARC_PIECES, MAX_CROSSINGS, diagram_from_dict, parse_diagram
 from pkh.errors import ParseError, ValidationError
 
 
@@ -85,6 +85,9 @@ class TestCommands:
                       "--f", "0", "--u", "0", "--window", "-1"))
         cases.append(("oracle", "trivial", "--p", "2", "--n", "1", "--k", "-1",
                       "--f", "1", "--u", "0"))
+        # no components: the empty link, whose Kh is Z at (0, 0), not nothing
+        cases.append(("oracle", "trivial", "--p", "2", "--n", "1", "--k", "0",
+                      "--f", "0", "--u", "0"))
         for argv in cases:
             code = main(list(argv))
             out, err = capsys.readouterr()
@@ -289,8 +292,11 @@ class TestSizeGuards:
     """Oversized input exits 1 with one line, in well under a second."""
 
     def write(self, tmp_path, word, strands, n):
+        return self.write_spec(tmp_path, corpus.braid_tangle(word, strands, n))
+
+    def write_spec(self, tmp_path, spec):
         path = tmp_path / "big.json"
-        path.write_text(json.dumps(corpus.braid_tangle(word, strands, n)))
+        path.write_text(json.dumps(spec))
         return str(path)
 
     def assert_refused(self, capsys, *argv):
@@ -305,6 +311,30 @@ class TestSizeGuards:
         self.assert_refused(capsys, "kh", flat)
         periodic = self.write(tmp_path, (1, -2, 1), 3, MAX_CROSSINGS)
         self.assert_refused(capsys, "verify", periodic)
+
+    def test_chain_rank_limit(self, capsys, tmp_path):
+        # crossingless, so the crossing limit does not see their 2^circles generators
+        for spec in (corpus.trivial_link(30, 1, 0), corpus.trivial_link(1, 26, 0)):
+            self.assert_refused(capsys, "kh", self.write_spec(tmp_path, spec))
+        self.assert_refused(capsys, "ekh", self.write_spec(tmp_path, corpus.trivial_link(2, 9, 1)),
+                            "--d", "2")
+
+    def test_rotation_order_limit(self, capsys, tmp_path):
+        self.assert_refused(capsys, "kh", self.write_spec(tmp_path, corpus.trivial_link(10**8, 0, 1)))
+        self.assert_refused(capsys, "verify", self.write_spec(
+            tmp_path, corpus.trivial_link(MAX_ARC_PIECES + 1, 0, 1)))
+        # a tangle with no arcs counts as one, so n is bounded for it too
+        empty = {"n": 10**8, "tangle": {"crossings": [], "arcs": [], "seam_in": [],
+                                        "seam_out": [], "orient": []}}
+        self.assert_refused(capsys, "verify", self.write_spec(tmp_path, empty))
+        code, out = run_cli(capsys, "kh", self.write_spec(
+            tmp_path, corpus.trivial_link(MAX_ARC_PIECES, 0, 1)))
+        assert code == 0 and json.loads(out)["groups"]
+
+    def test_limits_admit_every_corpus_diagram(self):
+        for name, spec in corpus.corpus_specs().items():
+            # parsing applies the crossing and arc limits, the buckets the rank limit
+            DiagramComplex(diagram_from_dict(spec)).buckets()
 
     def test_window_limit(self, capsys, corpus_dir):
         self.assert_refused(capsys, "ekh", str(corpus_dir / "hopf.json"), "--d", "2",

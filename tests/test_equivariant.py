@@ -3,7 +3,7 @@ import pytest
 from pkh import corpus
 from pkh.complexes import khovanov_homology, khovanov_polynomial
 from pkh.diagram import diagram_from_dict
-from pkh.equivariant import (build_resolution, equivariant_polynomials,
+from pkh.equivariant import (PeriodicResolution, build_resolution, equivariant_polynomials,
                              equivariant_reduce, ext_groups, hom_cohomology,
                              rational_equivariant, tail_checks,
                              total_comparison)
@@ -27,6 +27,22 @@ class TestResolutions:
     def test_rejects_non_divisor(self):
         with pytest.raises(ValidationError):
             build_resolution(6, 4, 3)
+
+    def test_map_matrix_is_multiplication_mod_t_n_minus_1(self):
+        for n in range(1, 13):
+            for d in range(1, n + 1):
+                if n % d:
+                    continue
+                res = PeriodicResolution(n, d, 3)
+                for k in (1, 2, 3):
+                    poly = res.map_poly(k)
+                    got = res.map_matrix(k).to_dense()
+                    for j in range(n):
+                        # column j is t^j * poly, reduced with t^n = 1
+                        want = [0] * n
+                        for e, a in enumerate(poly):
+                            want[(j + e) % n] += a
+                        assert [row[j] for row in got] == want, (n, d, k, j)
 
 
 def assert_action_commutes(red, n, where):

@@ -6,10 +6,9 @@ from pkh import corpus
 from pkh.complexes import build_complex
 from pkh.equivariant import EquivariantSlice, _totalize, equivariant_reduce
 from pkh.errors import ValidationError
-from pkh.homalg import (FreeComplex, GroupRingElt, OrbitCancellingComplex,
-                        SparseIntMatrix, cofactor, cyclotomic, eval_group_ring,
-                        idempotent_int_scaled, int_rank, isotypic_basis,
-                        norm_element, poly_mul, project,
+from pkh.homalg import (FreeComplex, OrbitCancellingComplex, SparseIntMatrix,
+                        cofactor, cyclotomic, eval_group_ring, int_rank,
+                        isotypic_basis, orbits, poly_mul, project,
                         rational_idempotents, reduce_unit_pivots,
                         smith_normal_form)
 
@@ -283,9 +282,8 @@ class TestIdempotents:
 
     def test_integer_scaling(self):
         for n in (2, 3, 4, 6, 12):
-            for d in range(1, n + 1):
-                if n % d == 0:
-                    idempotent_int_scaled(n, d)
+            for e in rational_idempotents(n).values():
+                assert all((n * c).denominator == 1 for c in e)
 
 
 class TestGroupRingEval:
@@ -295,17 +293,12 @@ class TestGroupRingEval:
         assert m.is_zero()
 
     def test_norm_on_trivial_rank_one(self):
-        m = eval_group_ring(list(norm_element(4).coeffs), [(0, 1)], 1)
+        m = eval_group_ring([1, 1, 1, 1], [(0, 1)], 1)
         assert m.get(0, 0) == 4
 
     def test_t_plus_one_on_sign(self):
         m = eval_group_ring([1, 1], [(0, -1)], 1)
         assert m.is_zero()
-
-    def test_group_ring_multiplication(self):
-        a = GroupRingElt.from_poly(4, [1, 2, 0, 0, 3])  # 3t^4 wraps to 3
-        b = GroupRingElt.t_power(4, 3)
-        assert (a * b).coeffs == (2, 0, 0, 4)
 
 
 class TestRank:
@@ -478,10 +471,8 @@ def reference_orbit_reduction(sl, n):
 
 
 def _horizontal(red, n, d):
-    phi = GroupRingElt.from_poly(n, cyclotomic(d)).coeffs
-    cof = GroupRingElt.from_poly(n, cofactor(d, n)).coeffs
-    return {i: (eval_group_ring(list(phi), red.psi[i], dim),
-                eval_group_ring(list(cof), red.psi[i], dim))
+    phi, cof = cyclotomic(d), cofactor(d, n)
+    return {i: (eval_group_ring(phi, red.psi[i], dim), eval_group_ring(cof, red.psi[i], dim))
             for i, dim in red.dims.items()}
 
 
@@ -539,6 +530,21 @@ def assert_same_complex(got_dims, got_diffs, want_dims, want_diffs, where):
 
 
 SMALL = [name for name in corpus.corpus_names() if corpus.build(name).ncross <= 8]
+
+
+def random_signed_permutation(rng):
+    """(psi, cycles): a signed permutation of up to 12 ids, cycles of random lengths and signs."""
+    ids = list(range(rng.randint(1, 12)))
+    rng.shuffle(ids)
+    psi = [None] * len(ids)
+    cycles = []
+    while ids:
+        k = rng.randint(1, min(4, len(ids)))
+        cyc, ids = ids[:k], ids[k:]
+        cycles.append(cyc)
+        for k, e in enumerate(cyc):
+            psi[e] = (cyc[(k + 1) % len(cyc)], rng.choice((1, -1)))
+    return psi, cycles
 
 
 def kernel_inputs():
@@ -653,20 +659,28 @@ class TestCancellationKernel:
                             assert [(c, list(col)) for c, col in got.diffs[m].cols.items()] == \
                                 [(c, list(col)) for c, col in mat.cols.items()], (name, j, d, m)
 
+    def test_orbits_walk_each_cycle_once_from_its_least_id(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            psi, cycles = random_signed_permutation(rng)
+            seen = []
+            for ids, signs, sigma in orbits(psi):
+                assert ids[0] == min(ids) and len(signs) == len(ids) and signs[0] == 1
+                assert any(set(ids) == set(cyc) for cyc in cycles)
+                L = len(ids)
+                for k in range(L):
+                    # psi(e_{ids[k]}) = (signs[k+1] / signs[k]) e_{ids[k+1]}, and
+                    # psi^L acts on ids[0] as sigma
+                    nxt, s = psi[ids[k]]
+                    assert nxt == ids[(k + 1) % L]
+                    assert signs[k] * s == (signs[k + 1] if k + 1 < L else sigma)
+                seen.extend(ids)
+            assert sorted(seen) == list(range(len(psi)))
+
     def test_isotypic_basis_at_d1_d2_is_the_eigenlattice(self):
         rng = random.Random(37)
         for _ in range(40):
-            # a signed permutation: cycles of random lengths and signs
-            ids = list(range(rng.randint(1, 12)))
-            rng.shuffle(ids)
-            psi = [None] * len(ids)
-            cycles = []
-            while ids:
-                k = rng.randint(1, min(4, len(ids)))
-                cyc, ids = ids[:k], ids[k:]
-                cycles.append(cyc)
-                for k, e in enumerate(cyc):
-                    psi[e] = (cyc[(k + 1) % len(cyc)], rng.choice((1, -1)))
+            psi, cycles = random_signed_permutation(rng)
             for d, eps in ((1, 1), (2, -1)):
                 gens = isotypic_basis(psi, d)
                 want = 0
