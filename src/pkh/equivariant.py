@@ -4,10 +4,20 @@ Integrally, the triply graded groups are hyper-Ext of the cyclotomic module
 Z[xi_d] into the Khovanov complex over Z[t]/(t^n - 1), computed from the
 two-periodic resolution whose maps alternate between multiplication by
 Phi_d(t) and by (t^n - 1)/Phi_d(t).  `PeriodicResolution` owns those maps:
-`ext_groups` takes from it the two multipliers, evaluated at the action on
-each chain group, and the number of columns of the Hom double complex.
-Exactness of the resolution holds for every d | n because Z[t] is a domain,
-and is verified mechanically on its regular-representation matrices.
+`ext_groups` takes from it the two multipliers and the number of columns of
+the Hom double complex.  Exactness of the resolution holds for every d | n
+because Z[t] is a domain, and is verified mechanically on its
+regular-representation matrices.
+
+The double complex is not written out whole.  On a free orbit Z[G] its row
+is split exact beyond column 0, with H^0 = Hom(Z[xi_d], Z[G]) = Z^phi(d):
+the homotopy h on column p >= 1 is the polynomial quotient by the map into
+it (both multipliers are monic, so the division is over Z), and column 0
+projects onto the kernel of Phi_d.  By the homological perturbation lemma
+(Crainic, arXiv:math/0403266) the total complex is homotopy equivalent to
+the one `_totalize` builds: phi(d) generators per free orbit in column 0,
+every column for the other orbits, and differentials corrected by zigzags
+d h d ... through the free rows.
 
 The underived Hom from Z or Z_- is the slice on the +1 or -1 eigenlattice,
 `SliceComplex.eigen`, which the sector pages of the spectral sequence share.
@@ -35,7 +45,8 @@ from .complexes import GradedAbGroup, SliceComplex, build_complex, khovanov_homo
 from .diagram import PeriodicDiagram
 from .errors import InvariantError, ValidationError
 from .homalg import (FreeComplex, OrbitCancellingComplex, SparseIntMatrix, cofactor,
-                     cyclotomic, eval_group_ring, int_rank, isotypic_basis, project)
+                     cyclotomic, eval_group_ring, int_rank, isotypic_basis, orbits,
+                     poly_divmod, project)
 from .oracles import MAX_WINDOW, euler_phi
 from .polynomials import BiPolynomial
 
@@ -215,7 +226,6 @@ def ext_groups(diagram: PeriodicDiagram, d: int, window: int | None = None) -> E
     if not 0 <= window <= MAX_WINDOW:
         raise ValidationError(f"window must be between 0 and {MAX_WINDOW}")
     res = PeriodicResolution(n, d, window + diagram.n_minus + 2)  # columns 0..length-1
-    phi, cof = res.map_poly(1), res.map_poly(2)
     cx = build_complex(diagram)
     out: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for j in cx.quantum_range():
@@ -225,11 +235,7 @@ def ext_groups(diagram: PeriodicDiagram, d: int, window: int | None = None) -> E
         red = equivariant_reduce(sl, n)
         if not red.dims:
             continue
-        horiz = {}
-        for i, dim in red.dims.items():
-            psi = red.psi[i]
-            horiz[i] = (eval_group_ring(phi, psi, dim), eval_group_ring(cof, psi, dim))
-        tot = _totalize(red, horiz, res.length, window + 1)
+        tot = _totalize(red, res, window + 1)
         hom = tot.homology()
         for m, grp in hom.items():
             if m <= window:
@@ -239,57 +245,179 @@ def ext_groups(diagram: PeriodicDiagram, d: int, window: int | None = None) -> E
     return res
 
 
-def _totalize(red: EquivariantSlice, horiz, cols: int, maxdeg: int) -> FreeComplex:
-    """Total complex of the Hom double complex, columns 0..cols-1.
+def _free_rows(psi: list[tuple[int, int]], res: PeriodicResolution):
+    """The contraction of the free rows of one chain group onto column 0.
 
-    Degrees above maxdeg are dropped; they cannot influence homology at or
-    below maxdeg - 1.
+    On a free orbit, x = sum_k c_k psi^k(lead) is the polynomial c(t) mod
+    t^n - 1, and g_p, the horizontal map out of column p, multiplies it by
+    Phi_d (p even) or by the cofactor (p odd).  The homotopy h on column
+    p >= 1 is the quotient by g_{p-1}; column 0 projects onto
+    H = ker Phi_d, with basis cof * t^k for k < phi(d), by pi(x) = cof * (c
+    div cof).  Returns (nonfree, h, proj, incl):
+
+    - nonfree: the ids outside free orbits, ascending;
+    - h: the quotients by Phi_d and by the cofactor, {id: [(id', coef)]};
+    - proj: pi in coordinates of H, {id: [(k, coef)]};
+    - incl: the basis of H as vectors {id: coef}.
     """
-    qs = sorted(red.dims)
-    offsets: dict[int, dict[int, int]] = {}
-    dims: dict[int, int] = {}
-    for q in qs:
-        for p in range(cols):
-            m = p + q
-            if m > maxdeg:
-                continue
-            offsets.setdefault(m, {})[p] = dims.get(m, 0)
-            dims[m] = dims.get(m, 0) + red.dims[q]
-    diffs: dict[int, SparseIntMatrix] = {}
-    for m in sorted(dims):
-        if m + 1 not in dims:
+    n, cof = res.n, res.cof
+    quot = [[poly_divmod([0] * k + [1], g)[0] for k in range(n)] for g in (res.phi, cof)]
+    phi_d = n - len(cof) + 1
+    nonfree: list[int] = []
+    h: tuple[dict, dict] = ({}, {})
+    proj: dict[int, list[tuple[int, int]]] = {}
+    incl: list[dict[int, int]] = []
+    for ids, signs, _ in orbits(psi):
+        if len(ids) < n:
+            nonfree.extend(ids)
             continue
-        mat = SparseIntMatrix(dims[m + 1], dims[m])
-        rows, mcols = mat.rows, mat.cols
-        above = offsets.get(m + 1, {})
-        for p, off in offsets[m].items():
-            q = m - p
-            # the vertical and horizontal images of block (p, q) lie in the
-            # distinct blocks (p, q + 1) and (p + 1, q), so no entry is
-            # written twice
-            blocks = []
-            vert = red.diffs.get(q)
-            if vert is not None and p in above:
-                blocks.append((vert, above[p], -1 if p % 2 else 1))
-            if p + 1 in above:
-                blocks.append((horiz[q][p % 2], above[p + 1], 1))
-            for src, toff, sign in blocks:
-                for r, row in src.rows.items():
-                    r += toff
-                    out = rows.get(r)
-                    if out is None:
-                        out = rows[r] = {}
-                    for c, v in row.items():
-                        c += off
-                        out[c] = sign * v
-                        col = mcols.get(c)
-                        if col is None:
-                            mcols[c] = {r}
-                        else:
-                            col.add(r)
-        if mat.rows:
-            diffs[m] = mat
-    return FreeComplex(dims, diffs)
+        base = len(incl)
+        for k, e in enumerate(ids):
+            s = signs[k]
+            for table, qk in zip(h, quot):
+                table[e] = [(ids[j], s * c * signs[j]) for j, c in enumerate(qk[k]) if c]
+            proj[e] = [(base + j, s * c) for j, c in enumerate(quot[1][k]) if c]
+        for k in range(phi_d):
+            incl.append({ids[j + k]: c * signs[j + k] for j, c in enumerate(cof) if c})
+    nonfree.sort()
+    return nonfree, h, proj, incl
+
+
+def _totalize(red: EquivariantSlice, res: PeriodicResolution, maxdeg: int) -> FreeComplex:
+    """The Hom double complex with its free rows retracted, degrees <= maxdeg.
+
+    Each free row is split exact beyond column 0 (`_free_rows`), so by the
+    homological perturbation lemma (with -h as its homotopy) the total
+    complex is homotopy equivalent to a smaller one: H in column 0 for the
+    free orbits, and every column p < res.length for the others, N.  A
+    generator y of N at (p, q) maps by g_p into (p + 1, q) and by (-1)^p d;
+    the N part of that is written at (p, q + 1), and its free part goes by
+    -h to column p - 1 and on by (-1)^(p-1) d, each step writing its N part,
+    until column 0, where pi takes the free part into H.  A generator of H
+    maps by d: its N part, and pi of its free part.  Such a zigzag depends
+    on p only through its parity and where it stops, so one is computed per
+    generator and parity.
+
+    Free rows are retracted on the whole resolution, so res must reach
+    every column at or below maxdeg (res.length > maxdeg - min q), which
+    leaves homology below maxdeg exact.
+    """
+    cols = res.length
+    qs = sorted(red.dims)
+    rows_of = {}  # q -> (nonfree, their indices, h, proj, incl, g_p on N by column)
+    for q in qs:
+        psi = red.psi[q]
+        nonfree, h, proj, incl = _free_rows(psi, res)
+        nidx = {e: k for k, e in enumerate(nonfree)}
+        horiz = []
+        if nonfree:
+            psi_n = [(nidx[psi[e][0]], psi[e][1]) for e in nonfree]
+            for g in (res.phi, res.cof):
+                mat = eval_group_ring(g, psi_n, len(nonfree))
+                horiz.append({c: [(r, mat.rows[r][c]) for r in rs] for c, rs in mat.cols.items()})
+        rows_of[q] = (nonfree, nidx, h, proj, incl, horiz)
+
+    # generators: per degree, blocks by ascending q; column 0 holds N then H
+    dims: dict[int, int] = {}
+    noff: dict[tuple[int, int], int] = {}
+    hoff: dict[int, int] = {}
+    for m in range(min(qs, default=0), maxdeg + 1):
+        size = 0
+        for q in qs:
+            p = m - q
+            if not 0 <= p < cols:
+                continue
+            nonfree, incl = rows_of[q][0], rows_of[q][4]
+            if nonfree:
+                noff[(p, q)] = size
+                size += len(nonfree)
+            if p == 0 and incl:
+                hoff[q] = size
+                size += len(incl)
+        if size:
+            dims[m] = size
+
+    def zigzag(vec, q, par, depth):
+        """Up to `depth` steps [(N part, pi of free part)] from vec at (col, q).
+
+        par is the column's parity; pi is taken only where the column can be 0.
+        """
+        steps = []
+        while vec and len(steps) < depth:
+            d = red.diffs.get(q)
+            if d is None or q + 1 not in rows_of:
+                break
+            drows, dcols = d.rows, d.cols
+            img: dict[int, int] = {}
+            for c, a in vec.items():
+                for r in dcols.get(c, ()):
+                    img[r] = img.get(r, 0) + a * drows[r][c]
+            q += 1
+            _, nidx, h, proj, _, _ = rows_of[q]
+            div = h[0] if par else h[1]  # h on column p divides by g_{p-1}
+            sign = -1 if par else 1
+            nv, hv, nxt = {}, {}, {}
+            for r, a in img.items():
+                if not a:
+                    continue
+                a *= sign
+                k = nidx.get(r)
+                if k is not None:
+                    nv[k] = a
+                    continue
+                if not par:
+                    for k, c in proj[r]:
+                        hv[k] = hv.get(k, 0) + a * c
+                for r2, c in div[r]:
+                    nxt[r2] = nxt.get(r2, 0) - a * c
+            steps.append((list(nv.items()), [(k, v) for k, v in hv.items() if v]))
+            vec = {r: v for r, v in nxt.items() if v}
+            par ^= 1
+        return steps
+
+    mats = {m: SparseIntMatrix(dims[m + 1], dims[m]) for m in dims if m + 1 in dims}
+
+    def write(m, c, blocks):
+        """Column c of d_m: the entries of each (row offset, entries) block."""
+        mat = mats.get(m)
+        if mat is None:
+            return
+        rows = mat.rows
+        col = set()
+        for off, entries in blocks:
+            for r, v in entries:
+                r += off
+                row = rows.get(r)
+                if row is None:
+                    rows[r] = {c: v}
+                else:
+                    row[c] = v
+                col.add(r)
+        if col:
+            mat.cols[c] = col
+
+    for q in qs:
+        nonfree, _, _, _, incl, horiz = rows_of[q]
+        if q + 1 > maxdeg:
+            continue
+        for k, vec in enumerate(incl):
+            for nv, hv in zigzag(vec, q, 0, 1):
+                write(q, hoff[q] + k, ((noff.get((0, q + 1)), nv), (hoff.get(q + 1), hv)))
+        top = min(cols - 1, maxdeg - 1 - q)  # the last column whose image is kept
+        for y, e in enumerate(nonfree):
+            chains = [zigzag({e: 1}, q, par, top + 1) for par in (0, 1)]
+            for p in range(top + 1):
+                blocks = []
+                if p + 1 < cols:
+                    blocks.append((noff[(p + 1, q)], horiz[p % 2].get(y, ())))
+                steps = chains[p % 2]
+                for k in range(min(p + 1, len(steps))):
+                    nv, hv = steps[k]
+                    blocks.append((noff.get((p - k, q + 1 + k)), nv))
+                    if k == p:
+                        blocks.append((hoff.get(q + 1 + p), hv))
+                write(p + q, noff[(p, q)] + y, blocks)
+    return FreeComplex(dims, {m: mat for m, mat in mats.items() if mat.rows})
 
 
 # ---------------------------------------------------------------------------

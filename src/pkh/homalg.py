@@ -10,8 +10,9 @@ permutation of each basis.  A ring element is a plain coefficient list in
 ascending degree (`cyclotomic`, `cofactor`), and `eval_group_ring` gives its
 matrix at psi; at the cyclic shift of 1, t, ..., t^(n-1) that is the regular
 representation.  The cycles of psi are walked in one place, `orbits`, which
-serves the isotypic bases and the orbit cancellation.  `rational_idempotents`
-gives the central idempotents of Q[t]/(t^n - 1).
+serves the isotypic bases and the orbit cancellation.  `poly_divmod` divides
+by a monic polynomial over Z, and `rational_idempotents` gives the central
+idempotents of Q[t]/(t^n - 1) in closed form.
 
 One Gaussian-cancellation step serves every engine.  `CancellingComplex`
 holds its only copy: the Schur update from a pivot row, the removal of the
@@ -857,25 +858,33 @@ def poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by the monic b in Z[t], both trimmed."""
+    if not b or b[-1] != 1:
+        raise ValueError("divisor must be monic")
+    r = list(a)
+    while r and r[-1] == 0:
+        r.pop()
+    nb = len(b) - 1
+    q = [0] * max(0, len(r) - nb)
+    for k in range(len(q) - 1, -1, -1):
+        coef = r[k + nb]
+        if coef:
+            q[k] = coef
+            for i in range(nb + 1):
+                r[k + i] -= coef * b[i]
+    while q and q[-1] == 0:
+        q.pop()
+    del r[nb:]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
 def poly_divmod_exact(a: list[int], b: list[int]) -> list[int]:
-    """Quotient a / b in Z[t]; raises if the division is not exact."""
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    if not b or b[-1] == 0:
-        raise ValueError("bad divisor")
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        if a[-1] % b[-1]:
-            raise ValueError("division not exact")
-        coef = a[-1] // b[-1]
-        k = len(a) - len(b)
-        q[k] = coef
-        for i, y in enumerate(b):
-            a[k + i] -= coef * y
-        while a and a[-1] == 0:
-            a.pop()
-    if a:
+    """Quotient a / b in Z[t] for monic b; raises if the division is not exact."""
+    q, r = poly_divmod(a, b)
+    if r:
         raise ValueError("division not exact")
     return q
 
@@ -903,76 +912,30 @@ def rational_idempotents(n: int) -> dict[int, tuple[Fraction, ...]]:
     """Central idempotents e_d of Q[t]/(t^n-1), one per divisor d of n.
 
     e_d acts as the identity on the component cut out by Phi_d and kills the
-    others.  Computed by extended gcd of Phi_d and its cofactor over Q.
+    others.  In closed form e_d = (1/n) sum_k c_d(k) t^k, where
+    c_d(k) = sum_{e | gcd(d, k)} mu(d/e) e is Ramanujan's sum: the trace of
+    xi^k over the primitive d-th roots of unity xi.
     """
     out: dict[int, tuple[Fraction, ...]] = {}
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        phi = [Fraction(c) for c in cyclotomic(d)]
-        g = [Fraction(c) for c in cofactor(d, n)]
-        _, b = _poly_xgcd(phi, g)
-        e = _fpoly_mul(b, g)
-        coeffs = [Fraction(0)] * n
-        for k, v in enumerate(e):
-            coeffs[k % n] += v
-        out[d] = tuple(coeffs)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    mobius = {d: _mobius(d) for d in divisors}
+    for d in divisors:
+        ramanujan = {g: sum(mobius[d // e] * e for e in range(1, g + 1) if g % e == 0)
+                     for g in divisors if d % g == 0}
+        out[d] = tuple(Fraction(ramanujan[gcd(d, k)], n) for k in range(n))
     return out
 
 
-def _fpoly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fpoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _fpoly_trim(out)
-
-
-def _fpoly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _fpoly_trim(a):
-        coef = a[-1] / b[-1]
-        k = len(a) - len(b)
-        q[k] += coef
-        for i, y in enumerate(b):
-            a[k + i] -= coef * y
-        _fpoly_trim(a)
-    return _fpoly_trim(q), _fpoly_trim(a)
-
-
-def _poly_xgcd(a, b):
-    """Bezout pair (x, y) with x*a + y*b = 1 for coprime a, b over Q."""
-    r0, r1 = list(a), list(b)
-    x0, x1 = [Fraction(1)], []
-    y0, y1 = [], [Fraction(1)]
-    while r1:
-        q, r = _fpoly_divmod(r0, r1)
-        r0, r1 = r1, r
-        x0, x1 = x1, _fpoly_sub(x0, _fpoly_mul(q, x1))
-        y0, y1 = y1, _fpoly_sub(y0, _fpoly_mul(q, y1))
-    if len(r0) != 1:
-        raise ValueError("inputs not coprime")
-    inv = 1 / r0[0]
-    return [c * inv for c in x0], [c * inv for c in y0]
-
-
-def _fpoly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _fpoly_trim(out)
+def _mobius(m: int) -> int:
+    out, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if m > 1 else out
 
 
 def eval_group_ring(poly: list[int], perm_block, dim: int) -> SparseIntMatrix:

@@ -10,6 +10,7 @@ import time
 from pkh import corpus
 from pkh.action import verify_module_structure
 from pkh.complexes import (graded_euler_characteristic, khovanov_polynomial)
+from pkh.diagram import diagram_from_dict
 from pkh.equivariant import (equivariant_polynomials, ext_groups,
                              hom_cohomology, tail_checks, total_comparison)
 from pkh.homalg import SparseIntMatrix, rational_idempotents, smith_normal_form
@@ -79,6 +80,19 @@ def test_criterion_04_trivial_links_match_oracle(diagrams):
                         assert got == want, (pn, k, f, u)
                         cases += 1
         assert cases == 79
+
+
+def test_criterion_04_at_sixteen_circles():
+    """Criterion 4 at 16 circles, where the whole double complex took 5 s and 168 MB."""
+    with Budget("4 trivial links vs closed form, 16 circles", 10):
+        for pn, p, n in ((2, 2, 1), (4, 2, 2)):
+            k = 16 // pn
+            D = diagram_from_dict(corpus.trivial_link(pn, k, 0))
+            for u in range(n + 1):
+                got = ext_groups(D, p ** (n - u), window=6).groups
+                want = {key: v for key, v in trivial_link_ekh(p, n, k, 0, u, 6).items()
+                        if v[0] or v[1]}
+                assert got == want, (pn, u)
 
 
 def test_criterion_05_torus_classical_polynomials(diagrams):

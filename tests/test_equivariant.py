@@ -1,13 +1,17 @@
+import random
+
 import pytest
 
 from pkh import corpus
 from pkh.complexes import khovanov_homology, khovanov_polynomial
 from pkh.diagram import diagram_from_dict
-from pkh.equivariant import (PeriodicResolution, build_resolution, equivariant_polynomials,
-                             equivariant_reduce, ext_groups, hom_cohomology,
-                             rational_equivariant, tail_checks,
+from pkh.equivariant import (PeriodicResolution, _free_rows, build_resolution,
+                             equivariant_polynomials, equivariant_reduce, ext_groups,
+                             hom_cohomology, rational_equivariant, tail_checks,
                              total_comparison)
 from pkh.errors import ValidationError
+from pkh.homalg import eval_group_ring
+from pkh.oracles import euler_phi
 from pkh.polynomials import BiPolynomial
 
 
@@ -43,6 +47,68 @@ class TestResolutions:
                         for e, a in enumerate(poly):
                             want[(j + e) % n] += a
                         assert [row[j] for row in got] == want, (n, d, k, j)
+
+    def test_free_row_homotopy(self):
+        """On a free orbit: g_{p-1} h + h g_p = 1, pi iota = 1, iota pi = 1 - h g_0.
+
+        Checked on the regular representation and on a relabelled copy of
+        it with signs (the same module in another basis), for n <= 12 and
+        every d | n.
+        """
+        rng = random.Random(53)
+
+        def matrix(table, nrows, ncols):
+            out = [[0] * ncols for _ in range(nrows)]
+            for c, entries in table.items():
+                for r, v in entries:
+                    out[r][c] += v
+            return out
+
+        def mul(a, b):
+            return [[sum(x * b[k][c] for k, x in enumerate(row)) for c in range(len(b[0]))]
+                    for row in a]
+
+        def add(a, b):
+            return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+        def one(k):
+            return [[int(r == c) for c in range(k)] for r in range(k)]
+
+        for n in range(1, 13):
+            ids = list(range(n))
+            rng.shuffle(ids)
+            signs = [rng.choice((1, -1)) for _ in range(n - 1)]
+            signs.append(1 if signs.count(-1) % 2 == 0 else -1)  # psi^n = 1
+            relabelled = [None] * n
+            for k, e in enumerate(ids):
+                relabelled[e] = (ids[(k + 1) % n], signs[k])
+            for d in range(1, n + 1):
+                if n % d:
+                    continue
+                res = PeriodicResolution(n, d, 3)
+                for psi in ([((e + 1) % n, 1) for e in range(n)], relabelled):
+                    where = (n, d, psi)
+                    nonfree, h, proj, incl = _free_rows(psi, res)
+                    k = euler_phi(d)
+                    assert nonfree == [] and len(incl) == k, where
+                    g_phi, g_cof = (eval_group_ring(g, psi, n).to_dense() for g in (res.phi, res.cof))
+                    h_phi, h_cof = (matrix(table, n, n) for table in h)
+                    # column p odd: g_{p-1} = Phi_d and g_p = cof; p even: the other way
+                    assert add(mul(g_phi, h_phi), mul(h_cof, g_cof)) == one(n), where
+                    assert add(mul(g_cof, h_cof), mul(h_phi, g_phi)) == one(n), where
+                    pi = matrix(proj, k, n)
+                    iota = matrix(dict(enumerate(list(v.items()) for v in incl)), n, k)
+                    assert mul(pi, iota) == one(k), where
+                    h_g0 = mul(h_phi, g_phi)
+                    assert mul(iota, pi) == [[a - b for a, b in zip(ra, rb)]
+                                             for ra, rb in zip(one(n), h_g0)], where
+
+    def test_short_orbits_are_not_free(self):
+        # n = 4: a free orbit, an orbit of length 2 and a fixed id
+        psi = [(1, 1), (2, 1), (3, 1), (0, 1), (5, -1), (4, 1), (6, -1)]
+        nonfree, h, proj, incl = _free_rows(psi, PeriodicResolution(4, 2, 3))
+        assert nonfree == [4, 5, 6] and len(incl) == 1
+        assert set(proj) == set(h[0]) == set(h[1]) == {0, 1, 2, 3}
 
 
 def assert_action_commutes(red, n, where):

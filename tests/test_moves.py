@@ -21,6 +21,11 @@ slice, the rotation a chain automorphism of order n, and the graded Euler
 characteristic of the homology equal to the state sum.  Each unmoved
 closure also passes the tail checks at every d | n (each n here is a prime
 power).
+
+A larger crossing budget runs outside the default suite (`pytest -m
+slow`): closures of up to 12 / 11 / 10 crossings for n = 2 / 3 / 4, whose
+equivariant groups must equal those of the whole Hom double complex and
+survive each move.
 """
 
 import random
@@ -32,9 +37,13 @@ from pkh import corpus
 from pkh.action import verify_module_structure
 from pkh.complexes import build_complex, graded_euler_characteristic, khovanov_homology
 from pkh.diagram import diagram_from_dict
-from pkh.equivariant import ext_groups, rational_equivariant, tail_checks, total_comparison
+from pkh.equivariant import (equivariant_reduce, ext_groups, rational_equivariant, tail_checks,
+                             total_comparison)
+from pkh.errors import ValidationError
+from test_homalg import reference_slice_ext
 
 MAX_CROSSINGS = {2: 10, 3: 9, 4: 8}
+SLOW_CROSSINGS = {2: 12, 3: 11, 4: 10}
 WORDS_PER_CASE = 3
 
 
@@ -62,14 +71,14 @@ def rotate(rng, word, strands):
 MOVES = {"insert_r2": (insert_r2, 2, 0), "conjugate": (conjugate, 2, 0), "rotate": (rotate, 0, 2)}
 
 
-def generate(move, n, seed):
+def generate(move, n, seed, cap=None):
     """(word, strands, moved word) triples, the first as long as the cap allows.
 
     Each later word is a letter shorter, down to what the move needs; a
     draw that the move leaves unchanged is drawn again.
     """
     fn, grows, least = MOVES[move]
-    longest = MAX_CROSSINGS[n] // n - grows
+    longest = (cap or MAX_CROSSINGS[n]) // n - grows
     rng = random.Random(f"{move}-{n}-{seed}")
     out = []
     while len(out) < WORDS_PER_CASE:
@@ -168,3 +177,59 @@ def test_move_keeps_invariants(move, n):
             assert ext[d].groups == ext2[d].groups, (where, d)
             assert rat[d] == rat2[d], (where, d)
         assert total_comparison(closure(word, strands, n))["ok"], where
+
+
+def reference_groups(D, d, window):
+    """ext_groups(D, d, window).groups, from the whole double complex of each slice."""
+    cx = build_complex(D)
+    out = {}
+    for j in cx.quantum_range():
+        sl = cx.slice(j)
+        if not sl.basis:
+            continue
+        red = equivariant_reduce(sl, D.n)
+        if red.dims:
+            for m, grp in reference_slice_ext(red, D.n, d, window, D.n_minus).items():
+                out[(m, j)] = grp
+    return out
+
+
+def admitted(word, strands, n):
+    """Whether the closure passes the chain-rank guard (`diagram.MAX_RANK`)."""
+    try:
+        build_complex(closure(word, strands, n)).buckets()
+    except ValidationError:
+        return False
+    return True
+
+
+def slow_cases(move, n):
+    """WORDS_PER_CASE triples under the larger cap; a draw over the rank guard is drawn again."""
+    out = []
+    seed = 1
+    while len(out) < WORDS_PER_CASE:
+        for word, strands, moved in generate(move, n, seed, SLOW_CROSSINGS[n]):
+            if len(out) < WORDS_PER_CASE and admitted(word, strands, n) \
+                    and admitted(moved, strands, n):
+                out.append((word, strands, moved))
+        seed += 1
+    return out
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", sorted(SLOW_CROSSINGS))
+def test_larger_closures_match_the_whole_double_complex(n):
+    for move in sorted(MOVES):
+        for word, strands, moved in slow_cases(move, n):
+            where = (move, n, strands, word, moved)
+            groups = []
+            for w in (word, moved):
+                D = closure(w, strands, n)
+                exts = {}
+                for d in range(1, n + 1):
+                    if n % d == 0:
+                        exts[d] = ext_groups(D, d, SLOW_CROSSINGS[n] + 2)
+                        want = reference_groups(D, d, exts[d].window)
+                        assert exts[d].groups == want, (where, w, d)
+                groups.append({d: e.groups for d, e in exts.items()})
+            assert groups[0] == groups[1], where
