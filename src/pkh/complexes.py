@@ -235,6 +235,11 @@ class SliceComplex:
     def dim(self, i: int) -> int:
         return len(self.basis.get(i, ()))
 
+    @property
+    def dims(self) -> dict[int, int]:
+        """The nonzero ranks, by degree."""
+        return {i: len(b) for i, b in self.basis.items() if b}
+
     def diff(self, i: int) -> SparseIntMatrix:
         m = self._diffs.get(i)
         if m is None:
@@ -246,7 +251,9 @@ class SliceComplex:
         """d_i built afresh and not cached; `diff` keeps what this returns.
 
         With `leads`, a set of column indices, only those columns are
-        filled, and smoothings that hold none of them are skipped.
+        filled, and smoothings that hold none of them are skipped: the orbit
+        leads of `equivariant_reduce`, or the generators that survived
+        d_{i-1} in the sweep of `reduce_unit_pivots` (through `take_diff`).
         """
         cx = self.parent
         tgt_off = self._offsets.get(i + 1, {})
@@ -302,13 +309,29 @@ class SliceComplex:
                 col += 1
         return m
 
-    def take_diff(self, i: int) -> SparseIntMatrix:
+    def take_diff(self, i: int, cols=None) -> SparseIntMatrix:
         """d_i handed over to the caller, who may then change it in place.
 
         The slice forgets the matrix, so a later `diff(i)` builds a new one.
+        With `cols`, a set of column indices, only those columns are handed
+        over: a cached d_i loses the others, and one not cached is built on
+        `cols` alone.  `reduce_unit_pivots` sweeps a slice this way, taking
+        each d_i on the generators still alive.
         """
-        m = self.diff(i)
-        self._diffs.pop(i, None)
+        if cols is None:
+            m = self.diff(i)
+        elif i in self._diffs:
+            m = self._diffs[i]
+            rows, mcols = m.rows, m.cols
+            for c in [c for c in mcols if c not in cols]:
+                for r in mcols.pop(c):
+                    row = rows[r]
+                    del row[c]
+                    if not row:
+                        del rows[r]
+        else:
+            return self.build_diff(i, cols)
+        del self._diffs[i]
         return m
 
     def eigen(self, d: int):
@@ -360,7 +383,7 @@ class SliceComplex:
         return out
 
     def to_free_complex(self) -> FreeComplex:
-        dims = {i: len(b) for i, b in self.basis.items() if b}
+        dims = self.dims
         diffs = {}
         for i in dims:
             if i + 1 in dims:
@@ -382,7 +405,13 @@ def build_complex(diagram: PeriodicDiagram) -> DiagramComplex:
 
 
 def khovanov_homology(diagram: PeriodicDiagram, ring: str = "Z") -> GradedAbGroup:
-    """Khovanov homology per (i, j); ring 'Z' for groups, 'Q' for ranks."""
+    """Khovanov homology per (i, j); ring 'Z' for groups, 'Q' for ranks.
+
+    Each slice is handed to `reduce_unit_pivots` itself, which sweeps its
+    degrees upwards and takes each d_i only on the generators that survived
+    d_{i-1}; differentials the slice already holds are taken, not rebuilt.
+    Either way the slice is left without cached differentials.
+    """
     if ring not in ("Z", "Q"):
         raise ValidationError("ring must be 'Z' or 'Q'")
     cx = build_complex(diagram)
@@ -393,9 +422,7 @@ def khovanov_homology(diagram: PeriodicDiagram, ring: str = "Z") -> GradedAbGrou
             sl = cx.slice(j)
             if not sl.basis:
                 continue
-            dims = {i: len(b) for i, b in sl.basis.items() if b}
-            diffs = {i: sl.take_diff(i) for i in dims if i + 1 in dims}
-            hom = reduce_unit_pivots(FreeComplex(dims, diffs)).homology(ring=ring, prereduce=False)
+            hom = reduce_unit_pivots(sl).homology(ring=ring, prereduce=False)
             for i, grp in hom.items():
                 out[(i, j)] = grp
         groups = cx._homology[ring] = GradedAbGroup.from_dict(out)

@@ -432,20 +432,46 @@ class FreeComplex:
         return out
 
 
-def reduce_unit_pivots(cx: FreeComplex) -> FreeComplex:
+def reduce_unit_pivots(cx) -> FreeComplex:
     """Homotopy-equivalent compression by cancelling +-1 differential entries.
 
     Each cancellation removes an acyclic two-term direct summand, so integral
-    homology (including torsion) is preserved exactly.  Takes ownership of
-    `cx.diffs`: the matrices are reduced in place and are not valid
-    afterwards, so a caller that keeps `cx` passes copies.  Units are
-    cancelled one at a time, in rounds ordered by (Markowitz fill estimate,
-    degree, row, column).
+    homology (including torsion) is preserved exactly.  Units are cancelled
+    one at a time, in rounds ordered by (Markowitz fill estimate, degree,
+    row, column).  Takes ownership of the matrices it is handed: they are
+    reduced in place and are not valid afterwards.
+
+    `cx` is a `FreeComplex`, which hands over all of its matrices at the
+    start, so a caller that keeps it passes copies; or a complex that builds
+    its differentials on request, with `dims` and `take_diff(i, cols)`
+    giving d_i on the degree-i columns `cols` (a Khovanov slice).  The loop
+    sweeps the degrees in ascending order: d_i not held yet is taken on the
+    degree-i generators still alive, those not cancelled as rows of d_{i-1},
+    and every held matrix is reduced before d_{i+1} is taken.  That is
+    exact, because a cancellation in d_i deletes only rows of d_{i-1} and
+    columns of d_{i+1}, so a reduced degree never gains a unit again; and
+    only one unreduced differential is held at a time.  The held matrices
+    are reduced whenever one was handed over, so a FreeComplex, which holds
+    every degree from the start, gets one reduction in global rounds.
     """
-    red = CancellingComplex(cx.dims, cx.diffs)
-    red.reduce(lambda i, t, s: ((t, s),))
+    def any_unit(i, t, s):
+        return ((t, s),)
+
+    ranks = cx.dims
+    given = isinstance(cx, FreeComplex)
+    red = CancellingComplex(ranks, cx.diffs if given else {})
+    fresh = given  # a matrix was handed over since the last reduction
+    for i in sorted(ranks):
+        if not given and i + 1 in ranks:
+            m = cx.take_diff(i, red.alive[i])
+            if m.rows:
+                red.mats[i] = m
+                fresh = True
+        if fresh:
+            red.reduce(any_unit)
+            fresh = False
     dims, diffs, _ = red.export()
-    return FreeComplex({i: dims.get(i, 0) for i in cx.dims}, diffs)
+    return FreeComplex({i: dims.get(i, 0) for i in ranks}, diffs)
 
 
 def project(d: SparseIntMatrix, gens: list[dict[int, int]], nrows: int,

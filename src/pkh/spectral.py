@@ -384,7 +384,7 @@ def _build_slices(bic: OrbitResolutionBicomplex, sector: int | None):
         if not sl.basis:
             continue
         if sector is None:
-            dims = {i: len(b) for i, b in sl.basis.items() if b}
+            dims = sl.dims
             levels = {i: [bic.level(b) for b, _ in basis] for i, basis in sl.basis.items()}
             mats = {i: sl.take_diff(i) for i in dims if i + 1 in dims}
         else:

@@ -4,13 +4,14 @@ from itertools import combinations
 import pytest
 
 from pkh import corpus
-from pkh.complexes import (GradedAbGroup, build_complex, edge_sign,
+from pkh.complexes import (GradedAbGroup, SliceComplex, build_complex, edge_sign,
                            graded_euler_characteristic, khovanov_homology,
                            khovanov_polynomial)
 from pkh.diagram import diagram_from_dict
 from pkh.errors import ValidationError
-from pkh.homalg import SparseIntMatrix, reduce_unit_pivots
+from pkh.homalg import CancellingComplex, FreeComplex, SparseIntMatrix, reduce_unit_pivots
 from pkh.polynomials import BiPolynomial, LaurentPoly
+from test_moves import MAX_CROSSINGS, closures
 
 
 class TestFrobeniusStructure:
@@ -287,6 +288,130 @@ class TestLeadColumns:
                     assert [(c, list(col)) for c, col in got.cols.items()] == \
                         [(c, list(col)) for c, col in full.cols.items() if c in leads], (name, j, i)
                     assert sl.diff(i) is full, (name, j, i)  # the lead build is not cached
+
+
+def reference_khovanov_homology(D) -> dict[str, GradedAbGroup]:
+    """Khovanov homology over Z and Q with every d_i of a slice built in full.
+
+    The reduction before the degree sweep: one `FreeComplex` per slice,
+    reduced by global rounds.  Nothing is cached on the slices.
+    """
+    cx = build_complex(D)
+    out = {"Z": {}, "Q": {}}
+    for j in cx.quantum_range():
+        sl = cx.slice(j)
+        if not sl.basis:
+            continue
+        dims = sl.dims
+        red = reduce_unit_pivots(FreeComplex(dims, {i: sl.build_diff(i) for i in dims
+                                                     if i + 1 in dims}))
+        for ring, groups in out.items():
+            for i, grp in red.homology(ring, prereduce=False).items():
+                groups[(i, j)] = grp
+    return {ring: GradedAbGroup.from_dict(groups) for ring, groups in out.items()}
+
+
+def recorded_builds(monkeypatch):
+    """Every `SliceComplex.build_diff` from now on, as (j, i, leads or None, nnz)."""
+    builds = []
+    build = SliceComplex.build_diff
+
+    def recorded(sl, i, leads=None):
+        m = build(sl, i, leads)
+        builds.append((sl.j, i, None if leads is None else set(leads), m.nnz))
+        return m
+
+    monkeypatch.setattr(SliceComplex, "build_diff", recorded)
+    return builds
+
+
+class TestDegreeSweep:
+    """`reduce_unit_pivots` sweeps a slice degree by degree."""
+
+    @staticmethod
+    def assert_matches_reference(D, where, monkeypatch):
+        exported = []
+
+        def checked(cx):
+            out = reduce_unit_pivots(cx)
+            out.check_composes()
+            exported.append(out)
+            return out
+
+        monkeypatch.setattr("pkh.complexes.reduce_unit_pivots", checked)
+        want = reference_khovanov_homology(D)
+        for ring in ("Z", "Q"):
+            exported.clear()
+            assert khovanov_homology(D, ring) == want[ring], (where, ring)
+            cx = build_complex(D)
+            assert len(exported) == sum(1 for j in cx.quantum_range() if cx.slice(j).basis)
+
+    def test_matches_full_build_on_corpus(self, monkeypatch):
+        for name in corpus.corpus_names():
+            if name != "t8_2":
+                # a fresh diagram, so no homology cached by another test is reused
+                self.assert_matches_reference(corpus.build(name), name, monkeypatch)
+
+    def test_matches_full_build_on_generated_closures(self, monkeypatch):
+        for n in sorted(MAX_CROSSINGS):
+            for word, strands in closures(n):
+                D = diagram_from_dict(corpus.braid_tangle(word, strands, n))
+                self.assert_matches_reference(D, (n, strands, word), monkeypatch)
+
+    def test_builds_each_differential_on_the_survivors(self, monkeypatch):
+        """d_i is built once, on the degree-i ids not cancelled as rows of d_{i-1}."""
+        events = recorded_builds(monkeypatch)
+        cancel = CancellingComplex.cancel
+
+        def recorded_cancel(red, i, t, s):
+            events.append(("cancel", i, t))
+            cancel(red, i, t, s)
+
+        monkeypatch.setattr(CancellingComplex, "cancel", recorded_cancel)
+        for name in ("t4_2", "t5_2"):
+            cx = build_complex(corpus.build(name))
+            events.clear()
+            khovanov_homology(cx.D, "Z")
+            built, cancelled = {}, {}
+            for event in events:
+                if event[0] == "cancel":
+                    _, i, t = event
+                    cancelled.setdefault(i + 1, set()).add(t)
+                    continue
+                j, i, cols, nnz = event
+                if j not in built:
+                    built[j], cancelled = {}, {}
+                assert i not in built[j] and all(k < i for k in built[j]), (name, j, i)
+                want = set(range(cx.slice(j).dim(i))) - cancelled.get(i, set())
+                assert cols == want, (name, j, i)
+                built[j][i] = nnz
+            full = 0
+            for j in cx.quantum_range():
+                dims = cx.slice(j).dims
+                steps = [i for i in dims if i + 1 in dims]
+                assert sorted(built.get(j, {})) == sorted(steps), (name, j)
+                full += sum(cx.slice(j).build_diff(i).nnz for i in steps)
+            total = sum(nnz for per_slice in built.values() for nnz in per_slice.values())
+            assert total < full, name
+
+    def test_held_differentials_are_taken_not_rebuilt(self, monkeypatch):
+        """After `check_composes` on every slice, the homology builds nothing more."""
+        builds = recorded_builds(monkeypatch)
+        for name in ("t4_2", "t5_2"):
+            D = corpus.build(name)
+            want = reference_khovanov_homology(D)
+            cx = build_complex(D)
+            slices = [cx.slice(j) for j in cx.quantum_range()]
+            steps = sum(1 for sl in slices for i in sl.dims if i + 1 in sl.dims)
+            for ring, homology in (("Q", khovanov_polynomial), ("Z", khovanov_homology)):
+                builds.clear()
+                for sl in slices:
+                    sl.to_free_complex().check_composes()
+                assert len(builds) == steps, (name, ring)
+                got = homology(D) if ring == "Q" else homology(D, "Z")
+                assert len(builds) == steps, (name, ring)
+                assert got == (want["Q"].poincare() if ring == "Q" else want["Z"]), (name, ring)
+                assert not any(sl._diffs for sl in slices), (name, ring)
 
 
 class TestHomology:
