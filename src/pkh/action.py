@@ -18,7 +18,7 @@ from math import gcd
 
 from .complexes import build_complex
 from .diagram import PeriodicDiagram, _as_state, isotropy, orbit_decomposition
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 from .polynomials import LaurentPoly
 
 
@@ -42,41 +42,59 @@ def fixed_state_sign(diagram: PeriodicDiagram, state) -> int:
 
 
 def verify_module_structure(diagram: PeriodicDiagram) -> dict:
-    """Check psi^n = 1, psi d = d psi and quantum preservation blockwise.
+    """Check d o d = 0, psi^n = 1 and psi d = d psi, one j-slice at a time.
 
-    Returns a report dict; on failure `witness` names the first offending
-    (i, j, basis index).
+    Each slice's differentials are built once, checked by `check_composes`
+    and against psi, and dropped before the next slice.  The two checks are
+    independent: d o d = 0 is checked on every slice whatever psi does.
+    Returns a report dict: `composes` for d o d = 0, `acts` for the action,
+    `ok` for both; on an action failure `check` names it and `witness` the
+    first offending (i, j, basis index).
     """
     cx = build_complex(diagram)
     n = diagram.n
+    composes, failure = True, None
     for j in cx.quantum_range():
         sl = cx.slice(j)
-        for i, basis in sl.basis.items():
-            if not basis:
-                continue
-            psi = sl.psi(i)
+        fc = sl.to_free_complex()
+        try:
+            fc.check_composes()
+        except InvariantError:
+            composes = False
+        if failure is None:
+            failure = _action_failure(sl, fc.diffs, n)
+    acts = failure is None
+    check, witness = ("all", None) if acts else failure
+    return {"ok": composes and acts, "composes": composes, "acts": acts,
+            "check": check, "witness": witness}
+
+
+def _action_failure(sl, diffs, n: int) -> tuple[str, tuple[int, int, int]] | None:
+    """The first failure of psi^n = 1 or psi d = d psi on one slice, or None."""
+    for i, basis in sl.basis.items():
+        psi = sl.psi(i)
+        for k in range(len(basis)):
+            cur, sign = k, 1
+            for _ in range(n):
+                cur, s = psi[cur]
+                sign *= s
+            if cur != k or sign != 1:
+                return "psi_order", (i, sl.j, k)
+        d = diffs.get(i)
+        if d is not None:
+            psi_t = sl.psi(i + 1)
             for k in range(len(basis)):
-                cur, sign = k, 1
-                for _ in range(n):
-                    cur, s = psi[cur][0], sign * psi[cur][1]
-                    sign = s
-                if cur != k or sign != 1:
-                    return {"ok": False, "check": "psi_order", "witness": (i, j, k)}
-            if sl.dim(i + 1):
-                d = sl.diff(i)
-                psi_t = sl.psi(i + 1)
-                for k in range(len(basis)):
-                    img, sg = psi[k]
-                    lhs = {}  # d(psi x)
-                    for r in d.cols.get(img, ()):
-                        lhs[r] = lhs.get(r, 0) + sg * d.rows[r][img]
-                    rhs = {}  # psi(d x)
-                    for r in d.cols.get(k, ()):
-                        tr, ts = psi_t[r]
-                        rhs[tr] = rhs.get(tr, 0) + ts * d.rows[r][k]
-                    if {a: b for a, b in lhs.items() if b} != {a: b for a, b in rhs.items() if b}:
-                        return {"ok": False, "check": "psi_commutes", "witness": (i, j, k)}
-    return {"ok": True, "check": "all", "witness": None}
+                img, sg = psi[k]
+                lhs = {}  # d(psi x)
+                for r in d.cols.get(img, ()):
+                    lhs[r] = lhs.get(r, 0) + sg * d.rows[r][img]
+                rhs = {}  # psi(d x)
+                for r in d.cols.get(k, ()):
+                    tr, ts = psi_t[r]
+                    rhs[tr] = rhs.get(tr, 0) + ts * d.rows[r][k]
+                if {a: b for a, b in lhs.items() if b} != {a: b for a, b in rhs.items() if b}:
+                    return "psi_commutes", (i, sl.j, k)
+    return None
 
 
 def chain_module_decomposition(diagram: PeriodicDiagram, r: int):

@@ -11,7 +11,9 @@ right-counting convention: flipping crossing c contributes
 The differential is assembled from one record per edge of the cube of
 smoothings (target smoothing, sign, merge or split, circle transport),
 so per labelling only the X bits are carried across.  Each diagram has
-one complex, kept on the diagram by `build_complex`.
+one complex, kept on the diagram by `build_complex`.  Its slices keep their
+bases and the rotation's tables but no differential: every d_i is built
+afresh for the caller that asks, who owns it.
 """
 
 from __future__ import annotations
@@ -85,10 +87,6 @@ class GradedAbGroup:
 
     def poincare(self) -> BiPolynomial:
         return BiPolynomial({key: val[0] for key, val in self.groups if val[0]})
-
-    def mirror(self) -> "GradedAbGroup":
-        return GradedAbGroup(tuple(sorted(
-            ((-i, -j), val) for (i, j), val in self.groups)))
 
     def __str__(self) -> str:
         bits = []
@@ -229,7 +227,6 @@ class SliceComplex:
         self.basis = basis
         self.blocks = blocks
         self._offsets = offsets
-        self._diffs: dict[int, SparseIntMatrix] = {}
         self._psi: dict[int, list[tuple[int, int]]] = {}
 
     def dim(self, i: int) -> int:
@@ -241,19 +238,16 @@ class SliceComplex:
         return {i: len(b) for i, b in self.basis.items() if b}
 
     def diff(self, i: int) -> SparseIntMatrix:
-        m = self._diffs.get(i)
-        if m is None:
-            m = self.build_diff(i)
-            self._diffs[i] = m
-        return m
+        """d_i on every column, built afresh: the caller owns the matrix."""
+        return self.build_diff(i)
 
     def build_diff(self, i: int, leads=None) -> SparseIntMatrix:
-        """d_i built afresh and not cached; `diff` keeps what this returns.
+        """d_i built afresh; the slice keeps no differential.
 
         With `leads`, a set of column indices, only those columns are
         filled, and smoothings that hold none of them are skipped: the orbit
         leads of `equivariant_reduce`, or the generators that survived
-        d_{i-1} in the sweep of `reduce_unit_pivots` (through `take_diff`).
+        d_{i-1} in the sweep of `reduce_unit_pivots`.
         """
         cx = self.parent
         tgt_off = self._offsets.get(i + 1, {})
@@ -309,38 +303,13 @@ class SliceComplex:
                 col += 1
         return m
 
-    def take_diff(self, i: int, cols=None) -> SparseIntMatrix:
-        """d_i handed over to the caller, who may then change it in place.
-
-        The slice forgets the matrix, so a later `diff(i)` builds a new one.
-        With `cols`, a set of column indices, only those columns are handed
-        over: a cached d_i loses the others, and one not cached is built on
-        `cols` alone.  `reduce_unit_pivots` sweeps a slice this way, taking
-        each d_i on the generators still alive.
-        """
-        if cols is None:
-            m = self.diff(i)
-        elif i in self._diffs:
-            m = self._diffs[i]
-            rows, mcols = m.rows, m.cols
-            for c in [c for c in mcols if c not in cols]:
-                for r in mcols.pop(c):
-                    row = rows[r]
-                    del row[c]
-                    if not row:
-                        del rows[r]
-        else:
-            return self.build_diff(i, cols)
-        del self._diffs[i]
-        return m
-
     def eigen(self, d: int):
         """The slice on the +1 (d = 1) or -1 (d = 2) eigenlattice of psi.
 
         Returns (gens, dims, diffs): gens[i] is `isotypic_basis(psi(i), d)`,
         one vector per orbit with its least id at +1; dims the nonzero ranks;
-        diffs[i] the taken d_i on gens[i], each image read at the least ids
-        of gens[i + 1], which is where an eigenvector's coordinates are.
+        diffs[i] the d_i on gens[i], each image read at the least ids of
+        gens[i + 1], which is where an eigenvector's coordinates are.
         """
         gens = {i: isotypic_basis(self.psi(i), d) for i in self.basis}
         dims = {i: len(g) for i, g in gens.items() if g}
@@ -348,7 +317,7 @@ class SliceComplex:
         for i in dims:
             if i + 1 in dims:
                 at = {min(v): k for k, v in enumerate(gens[i + 1])}
-                diffs[i] = project(self.take_diff(i), gens[i], dims[i + 1], at)
+                diffs[i] = project(self.diff(i), gens[i], dims[i + 1], at)
         return gens, dims, diffs
 
     def psi(self, i: int) -> list[tuple[int, int]]:
@@ -383,6 +352,7 @@ class SliceComplex:
         return out
 
     def to_free_complex(self) -> FreeComplex:
+        """The slice with every nonzero d_i built afresh, owned by the caller."""
         dims = self.dims
         diffs = {}
         for i in dims:
@@ -397,7 +367,7 @@ def build_complex(diagram: PeriodicDiagram) -> DiagramComplex:
     """Khovanov complex of a diagram, with integral differentials.
 
     Built once per diagram and kept on it, so every caller in the process
-    shares its slices, differentials and actions.
+    shares its slices and actions.
     """
     if diagram.complex is None:
         diagram.complex = DiagramComplex(diagram)
@@ -408,9 +378,8 @@ def khovanov_homology(diagram: PeriodicDiagram, ring: str = "Z") -> GradedAbGrou
     """Khovanov homology per (i, j); ring 'Z' for groups, 'Q' for ranks.
 
     Each slice is handed to `reduce_unit_pivots` itself, which sweeps its
-    degrees upwards and takes each d_i only on the generators that survived
-    d_{i-1}; differentials the slice already holds are taken, not rebuilt.
-    Either way the slice is left without cached differentials.
+    degrees upwards and builds each d_i only on the generators that
+    survived d_{i-1}.
     """
     if ring not in ("Z", "Q"):
         raise ValidationError("ring must be 'Z' or 'Q'")

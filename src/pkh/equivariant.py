@@ -189,11 +189,6 @@ class EquivariantGroups:
     def group(self, i: int, j: int) -> tuple[int, tuple[int, ...]]:
         return self.groups.get((i, j), (0, ()))
 
-    def same_groups(self, other: "EquivariantGroups", window: int | None = None) -> bool:
-        w = min(self.window, other.window) if window is None else window
-        keys = {k for k in self.groups if k[0] <= w} | {k for k in other.groups if k[0] <= w}
-        return all(self.group(*k) == other.group(*k) for k in keys)
-
     def detect_tail(self) -> dict:
         """Least degree from which the groups repeat with period two."""
         if not self.groups:

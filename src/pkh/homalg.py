@@ -45,22 +45,6 @@ class SparseIntMatrix:
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
 
-    @classmethod
-    def from_dense(cls, dense: list[list[int]]) -> "SparseIntMatrix":
-        m = cls(len(dense), len(dense[0]) if dense else 0)
-        for r, row in enumerate(dense):
-            for c, v in enumerate(row):
-                if v:
-                    m.set(r, c, v)
-        return m
-
-    def to_dense(self) -> list[list[int]]:
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                out[r][c] = v
-        return out
-
     def get(self, r: int, c: int) -> int:
         return self.rows.get(r, {}).get(c, 0)
 
@@ -115,12 +99,6 @@ class SparseIntMatrix:
         m = SparseIntMatrix(self.nrows, self.ncols)
         m.rows = {r: dict(row) for r, row in self.rows.items()}
         m.cols = {c: set(col) for c, col in self.cols.items()}
-        return m
-
-    def transpose(self) -> "SparseIntMatrix":
-        m = SparseIntMatrix(self.ncols, self.nrows)
-        for r, c, v in self.entries():
-            m.set(c, r, v)
         return m
 
     def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
@@ -438,38 +416,30 @@ def reduce_unit_pivots(cx) -> FreeComplex:
     Each cancellation removes an acyclic two-term direct summand, so integral
     homology (including torsion) is preserved exactly.  Units are cancelled
     one at a time, in rounds ordered by (Markowitz fill estimate, degree,
-    row, column).  Takes ownership of the matrices it is handed: they are
-    reduced in place and are not valid afterwards.
+    row, column).
 
-    `cx` is a `FreeComplex`, which hands over all of its matrices at the
-    start, so a caller that keeps it passes copies; or a complex that builds
-    its differentials on request, with `dims` and `take_diff(i, cols)`
-    giving d_i on the degree-i columns `cols` (a Khovanov slice).  The loop
-    sweeps the degrees in ascending order: d_i not held yet is taken on the
-    degree-i generators still alive, those not cancelled as rows of d_{i-1},
-    and every held matrix is reduced before d_{i+1} is taken.  That is
-    exact, because a cancellation in d_i deletes only rows of d_{i-1} and
-    columns of d_{i+1}, so a reduced degree never gains a unit again; and
-    only one unreduced differential is held at a time.  The held matrices
-    are reduced whenever one was handed over, so a FreeComplex, which holds
-    every degree from the start, gets one reduction in global rounds.
+    `cx` is a `FreeComplex`, whose matrices are taken over and reduced in
+    place in global rounds, so a caller that keeps it passes copies; or a
+    complex with `dims` and `build_diff(i, cols)`, which builds d_i on the
+    degree-i columns `cols` (a Khovanov slice).  Such a complex is swept in
+    ascending degree: d_i is built on the degree-i generators still alive,
+    those not cancelled as rows of d_{i-1}, and reduced before d_{i+1} is
+    built.  That is exact, because a cancellation in d_i deletes only rows
+    of d_{i-1} and columns of d_{i+1}, so a reduced degree never gains a
+    unit again; and only one unreduced differential is held at a time.
     """
-    def any_unit(i, t, s):
-        return ((t, s),)
-
     ranks = cx.dims
-    given = isinstance(cx, FreeComplex)
-    red = CancellingComplex(ranks, cx.diffs if given else {})
-    fresh = given  # a matrix was handed over since the last reduction
-    for i in sorted(ranks):
-        if not given and i + 1 in ranks:
-            m = cx.take_diff(i, red.alive[i])
-            if m.rows:
-                red.mats[i] = m
-                fresh = True
-        if fresh:
-            red.reduce(any_unit)
-            fresh = False
+    if isinstance(cx, FreeComplex):
+        red = CancellingComplex(ranks, cx.diffs)
+        red.reduce()
+    else:
+        red = CancellingComplex(ranks, {})
+        for i in sorted(ranks):
+            if i + 1 in ranks:
+                m = cx.build_diff(i, red.alive[i])
+                if m.rows:
+                    red.mats[i] = m
+                    red.reduce()
     dims, diffs, _ = red.export()
     return FreeComplex({i: dims.get(i, 0) for i in ranks}, diffs)
 
@@ -567,10 +537,10 @@ class CancellingComplex:
 
     Takes ownership of the matrices it is given and updates them in place.
     Basis elements keep their original ids until `export`; `alive` holds the
-    ids not yet cancelled and `mats[i]` the nonzero d_i on them.  Each engine
-    brings its own rule for which unit entries may be cancelled; `reduce`
-    offers them in rounds ordered by (Markowitz fill estimate, degree, row,
-    column).
+    ids not yet cancelled and `mats[i]` the nonzero d_i on them.  An engine
+    may bring a rule, yes or no per unit entry, for which ones to cancel;
+    `reduce` offers them in rounds ordered by (Markowitz fill estimate,
+    degree, row, column).
 
     A cancellation through d_i[t][s] is two steps: `_schur` updates d_i,
     and `_drop` retires s and t from d_{i-1}, d_{i+1} and `alive`.  These
@@ -666,15 +636,14 @@ class CancellingComplex:
         self.alive[i].discard(s)
         self.alive[i + 1].discard(t)
 
-    def reduce(self, pairs) -> None:
+    def reduce(self, rule=None) -> None:
         """Cancel in rounds until a round cancels nothing.
 
         A round lists every unit entry in the order (Markowitz fill estimate,
-        degree, row, column), least first.  For each one still a unit,
-        `pairs(i, t, s)` returns the (t, s) pairs of d_i to cancel together,
-        or None to leave it.  A candidate is one int packing those four keys
-        with bit widths taken from the round's matrices, so a plain int sort
-        gives that order.
+        degree, row, column), least first, and each one still a unit is
+        cancelled if `rule(i, t, s)` is true, or always without a rule.  A
+        candidate is one int packing those four keys with bit widths taken
+        from the round's matrices, so a plain int sort gives that order.
         """
         mats = self.mats
         while mats:
@@ -714,11 +683,9 @@ class CancellingComplex:
                 v = row.get(s)
                 if v != 1 and v != -1:
                     continue
-                group = pairs(i, t, s)
-                if group is None:
+                if rule is not None and not rule(i, t, s):
                     continue
-                for t2, s2 in group:
-                    self.cancel(i, t2, s2)
+                self.cancel(i, t, s)
                 progress = True
             if not progress:
                 return
@@ -783,19 +750,19 @@ class OrbitCancellingComplex(CancellingComplex):
             self.lead[i], self.orbit[i] = lead, orbit
         super().__init__(dims, {i: build(i, self.orbit[i].keys()) for i in dims if i + 1 in dims})
 
-    def free_pivot(self, i: int, t: int, s: int):
-        """The rule for `reduce`: cancel (t, s) when it is a group-ring pivot."""
+    def free_pivot(self, i: int, t: int, s: int) -> bool:
+        """The rule for `reduce`: whether (t, s) is a group-ring pivot."""
         n = self.n
         if len(self.orbit[i][s]) != n:
-            return None
+            return False
         orb = self.orbit[i + 1][self.lead[i + 1][t]]
         if len(orb) != n:
-            return None
+            return False
         col = self.mats[i].cols[s]
         for t2 in orb:
             if t2 != t and t2 in col:
-                return None
-        return ((t, s),)
+                return False
+        return True
 
     def _row_fill(self, i: int, m: SparseIntMatrix):
         """Orbit-wide lengths: sum_k |row psi^k t| on the lead columns.
@@ -869,19 +836,6 @@ class OrbitCancellingComplex(CancellingComplex):
 
 # ---------------------------------------------------------------------------
 # polynomials over Z, cyclotomic factors, group-ring elements
-
-
-def poly_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:

@@ -269,19 +269,6 @@ class OrbitResolutionBicomplex:
                 alpha[c] = 1
             yield alpha
 
-    def verify_total(self) -> bool:
-        """Chain-level bookkeeping: the shifted resolved complexes tile CKh."""
-        D = self.diagram
-        want: dict[tuple[int, int], int] = {}
-        for p in range(len(self.X) + 1):
-            for alpha in self.resolutions(p):
-                Dres, c = resolve_diagram(D, alpha)
-                sub = build_complex(Dres)
-                for (i, j), dim in sub.dims().items():
-                    key = (i + c + p, j + p + 3 * c + len(self.X))
-                    want[key] = want.get(key, 0) + dim
-        return want == self.complex.dims()
-
 
 @dataclass
 class SSPage:
@@ -386,7 +373,7 @@ def _build_slices(bic: OrbitResolutionBicomplex, sector: int | None):
         if sector is None:
             dims = sl.dims
             levels = {i: [bic.level(b) for b, _ in basis] for i, basis in sl.basis.items()}
-            mats = {i: sl.take_diff(i) for i in dims if i + 1 in dims}
+            mats = {i: sl.diff(i) for i in dims if i + 1 in dims}
         else:
             if D.n != 2:
                 raise ValidationError("sectors are defined for rotation order 2")

@@ -45,6 +45,16 @@ class TestGeneratorAction:
         assert not report["ok"]
         assert report["witness"] is not None
 
+    def test_wrong_order_is_reported_as_such(self):
+        # -psi on a whole slice still commutes with d, but has order 6 when n = 3
+        d = corpus.build("borromean_n3")
+        sl = build_complex(d).slice(-3)
+        for i in sl.basis:
+            sl._psi[i] = [(k, -s) for k, s in sl.psi(i)]
+        assert verify_module_structure(d) == {
+            "ok": False, "composes": True, "acts": False,
+            "check": "psi_order", "witness": (min(sl.basis), -3, 0)}
+
 
 class TestFixedStateSign:
     def test_formula_instances(self, diagrams):

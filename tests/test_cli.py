@@ -11,7 +11,7 @@ import pytest
 import pkh
 from pkh import corpus
 from pkh.cli import _load, main
-from pkh.complexes import DiagramComplex
+from pkh.complexes import DiagramComplex, SliceComplex, build_complex
 from pkh.diagram import MAX_ARC_PIECES, MAX_CROSSINGS, diagram_from_dict, parse_diagram
 from pkh.errors import ParseError, ValidationError
 
@@ -175,6 +175,62 @@ class TestCommands:
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["polynomial"] == "1 + q^2 + t^2*q^4 + t^2*q^6"
+
+
+class TestVerifyReport:
+    """`verify` reports d o d = 0 and the action as two independent entries.
+
+    On t3_2 the sign of psi is flipped at one generator of slice j = 5,
+    degree 2; optionally d_1 of the later slice j = 7 gains an entry in the
+    row of a degree-2 generator that d_2 does not kill, so d_2 d_1 != 0 there.
+    """
+
+    PSI_AT = (5, 2, 3)  # (j, i, k)
+    # the first failure: psi d = d psi on degree 1, where d lands on the flipped sign
+    WITNESS = [1, 5, 1]
+
+    @staticmethod
+    def corrupt(monkeypatch, diff_at=None):
+        build_psi, build_diff = SliceComplex._build_psi, SliceComplex.build_diff
+        j, i, k = TestVerifyReport.PSI_AT
+
+        def bad_psi(sl, deg):
+            table = build_psi(sl, deg)
+            if (sl.j, deg) == (j, i):
+                table[k] = (table[k][0], -table[k][1])
+            return table
+
+        def bad_diff(sl, deg, leads=None):
+            m = build_diff(sl, deg, leads)
+            if leads is None and (sl.j, deg) == diff_at[:2]:
+                m.add(diff_at[2], 0, 1)
+            return m
+
+        monkeypatch.setattr(SliceComplex, "_build_psi", bad_psi)
+        if diff_at is not None:
+            monkeypatch.setattr(SliceComplex, "build_diff", bad_diff)
+
+    @staticmethod
+    def checks(capsys, corpus_dir):
+        code, out = run_cli(capsys, "verify", str(corpus_dir / "t3_2.json"))
+        assert code == 2
+        return {c["name"]: c for c in json.loads(out)["checks"]}
+
+    def test_wrong_action_leaves_d_squared_passing(self, capsys, corpus_dir, monkeypatch):
+        self.corrupt(monkeypatch)
+        checks = self.checks(capsys, corpus_dir)
+        assert checks["differential_squares_to_zero"]["pass"]
+        assert checks["action_is_chain_automorphism"] == {
+            "name": "action_is_chain_automorphism", "pass": False, "detail": self.WITNESS}
+
+    def test_d_squared_is_checked_after_an_action_failure(self, capsys, corpus_dir,
+                                                          monkeypatch):
+        d2 = build_complex(corpus.build("t3_2")).slice(7).diff(2)
+        assert d2.cols
+        self.corrupt(monkeypatch, (7, 1, min(d2.cols)))
+        checks = self.checks(capsys, corpus_dir)
+        assert not checks["differential_squares_to_zero"]["pass"]
+        assert checks["action_is_chain_automorphism"]["detail"] == self.WITNESS
 
 
 def run_cli_err(capsys, *argv):

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from pkh import corpus
+from pkh.cli import main
 from pkh.complexes import (GradedAbGroup, SliceComplex, build_complex, edge_sign,
                            graded_euler_characteristic, khovanov_homology,
                            khovanov_polynomial)
@@ -11,6 +13,7 @@ from pkh.diagram import diagram_from_dict
 from pkh.errors import ValidationError
 from pkh.homalg import CancellingComplex, FreeComplex, SparseIntMatrix, reduce_unit_pivots
 from pkh.polynomials import BiPolynomial, LaurentPoly
+from helpers import mirror
 from test_moves import MAX_CROSSINGS, closures
 
 
@@ -197,7 +200,8 @@ class TestEdgeTables:
                     assert [(c, list(col)) for c, col in got.cols.items()] == \
                         [(c, list(col)) for c, col in want.cols.items()], (name, j, i)
 
-    def test_take_diff_hands_over_the_matrix(self):
+    def test_diff_builds_a_fresh_matrix(self):
+        """Two `diff(i)` calls give two matrices; changing one spares the next."""
         cx = build_complex(corpus.build("t3_2"))
         fresh = build_complex(corpus.build("t3_2"))
         for j in cx.quantum_range():
@@ -205,18 +209,19 @@ class TestEdgeTables:
             for i in sl.basis:
                 if i + 1 not in sl.basis:
                     continue
-                taken = sl.take_diff(i)
-                for r, c, _ in list(taken.entries()):
-                    taken.add(r, c, 3)
-                taken.set(0, 0, 7)
+                first, second = sl.diff(i), sl.diff(i)
+                assert first is not second
+                for r, c, _ in list(first.entries()):
+                    first.add(r, c, 3)
+                first.set(0, 0, 7)
                 want = fresh.slice(j).diff(i)
-                again = sl.diff(i)
-                assert again is not taken
-                assert [(r, list(row.items())) for r, row in again.rows.items()] == \
-                    [(r, list(row.items())) for r, row in want.rows.items()], (j, i)
+                for again in (second, sl.diff(i)):
+                    assert [(r, list(row.items())) for r, row in again.rows.items()] == \
+                        [(r, list(row.items())) for r, row in want.rows.items()], (j, i)
+                    assert again.cols == want.cols, (j, i)
 
     def test_homology_leaves_rebuildable_differentials(self):
-        # khovanov_homology reduces the slices' own matrices in place
+        # the sweep reduces the matrices it builds in place; later builds are intact
         cx = build_complex(corpus.build("t4_2"))
         fresh = build_complex(corpus.build("t4_2"))
         khovanov_homology(cx.D, "Z")
@@ -287,7 +292,6 @@ class TestLeadColumns:
                         {r: row for r, row in want.items() if row}, (name, j, i)
                     assert [(c, list(col)) for c, col in got.cols.items()] == \
                         [(c, list(col)) for c, col in full.cols.items() if c in leads], (name, j, i)
-                    assert sl.diff(i) is full, (name, j, i)  # the lead build is not cached
 
 
 def reference_khovanov_homology(D) -> dict[str, GradedAbGroup]:
@@ -394,24 +398,30 @@ class TestDegreeSweep:
             total = sum(nnz for per_slice in built.values() for nnz in per_slice.values())
             assert total < full, name
 
-    def test_held_differentials_are_taken_not_rebuilt(self, monkeypatch):
-        """After `check_composes` on every slice, the homology builds nothing more."""
+    def test_verify_builds_each_differential_twice_in_full(self, monkeypatch, tmp_path):
+        """`verify` builds each d_i in full for its check pass and for the
+        pages, and once more for the sweep, on the survivors only."""
         builds = recorded_builds(monkeypatch)
         for name in ("t4_2", "t5_2"):
             D = corpus.build(name)
-            want = reference_khovanov_homology(D)
+            path = tmp_path / f"{name}.json"
+            path.write_text(D.to_json())
+            builds.clear()
+            assert main(["verify", str(path)]) == 0, name
             cx = build_complex(D)
-            slices = [cx.slice(j) for j in cx.quantum_range()]
-            steps = sum(1 for sl in slices for i in sl.dims if i + 1 in sl.dims)
-            for ring, homology in (("Q", khovanov_polynomial), ("Z", khovanov_homology)):
-                builds.clear()
-                for sl in slices:
-                    sl.to_free_complex().check_composes()
-                assert len(builds) == steps, (name, ring)
-                got = homology(D) if ring == "Q" else homology(D, "Z")
-                assert len(builds) == steps, (name, ring)
-                assert got == (want["Q"].poincare() if ring == "Q" else want["Z"]), (name, ring)
-                assert not any(sl._diffs for sl in slices), (name, ring)
+            steps = {(j, i) for j in cx.quantum_range() for i in cx.slice(j).dims
+                     if i + 1 in cx.slice(j).dims}
+            full, swept = Counter(), Counter()
+            for j, i, cols, nnz in builds:
+                if cols is None:
+                    full[(j, i)] += 1
+                else:
+                    swept[(j, i)] += 1
+                    assert cols <= set(range(cx.slice(j).dim(i))), (name, j, i)
+            assert full == dict.fromkeys(steps, 2), name
+            assert swept == dict.fromkeys(steps, 1), name
+            assert sum(nnz for _, _, cols, nnz in builds if cols is not None) < \
+                sum(nnz for _, _, cols, nnz in builds if cols is None) // 2, name
 
 
 class TestHomology:
@@ -450,7 +460,7 @@ class TestHomology:
 
     def test_mirror_symmetry_of_amphichiral_link(self, diagrams):
         kh = khovanov_homology(diagrams("borromean_n3"), "Q")
-        assert kh == kh.mirror()
+        assert kh == mirror(kh)
 
 
 class TestPolynomials:

@@ -7,6 +7,7 @@ from pkh.homalg import SparseIntMatrix
 from pkh.spectral import (build_filtration, crossing_orbit, e1_oracle, e1_page,
                           einf_abutment_ok, equivariant_e1_2periodic,
                           resolve_diagram, run_pages)
+from helpers import resolutions_tile
 
 
 class TestResolvedDiagrams:
@@ -84,9 +85,9 @@ class TestFiltration:
         for name in ("hopf", "t3_2", "unknot2_n2"):
             d = diagrams(name)
             bic = build_filtration(d, crossing_orbit(d, 0))
-            assert bic.verify_total()
+            assert resolutions_tile(bic)
         d = diagrams("t4_2")
-        assert build_filtration(d, crossing_orbit(d, 1)).verify_total()
+        assert resolutions_tile(build_filtration(d, crossing_orbit(d, 1)))
 
 
 class TestPages:
