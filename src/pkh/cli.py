@@ -122,20 +122,17 @@ def cmd_ekh(args) -> int:
 def cmd_ss(args) -> int:
     D = _load(args.file)
     X = crossing_orbit(D, args.orbit)
-    sector = args.d if args.d in (1, 2) and D.n == 2 and args.d is not None else None
-    if args.d is not None and sector is None:
-        raise ValidationError("sector pages need rotation order 2 and d in {1, 2}")
-    pages = run_pages(D, X, sector=sector)
+    pages = run_pages(D, X, sector=args.d)
     payload = {
         "orbit": list(X),
-        "sector": sector,
+        "sector": args.d,
         "pages": [{
             "r": pg.r,
             "entries": [{"p": p, "q": q, "quantum": j, "dim": dim}
                         for (p, q, j), dim in sorted(pg.entries.items())],
         } for pg in pages],
     }
-    if sector is None:
+    if args.d is None:
         payload["abuts_to_khovanov"] = einf_abutment_ok(D, X, pages)
     _emit(payload, args.format)
     return 0
@@ -191,7 +188,8 @@ def cmd_verify(args) -> int:
 
     rep = verify_module_structure(D)
     record("differential_squares_to_zero", rep["composes"])
-    record("action_is_chain_automorphism", rep["acts"], rep["witness"])
+    record("action_is_chain_automorphism", rep["acts"],
+           None if rep["acts"] else {"check": rep["check"], "witness": rep["witness"]})
     chi = graded_euler_characteristic(D)
     khp = khovanov_polynomial(D)
     record("euler_characteristic_matches_homology", khp.at_t_minus_one() == chi)

@@ -13,7 +13,8 @@ smoothings (target smoothing, sign, merge or split, circle transport),
 so per labelling only the X bits are carried across.  Each diagram has
 one complex, kept on the diagram by `build_complex`.  Its slices keep their
 bases and the rotation's tables but no differential: every d_i is built
-afresh for the caller that asks, who owns it.
+afresh for the caller that asks, who owns it.  A slice's isotypic parts are
+`homalg.isotypic_complex` of its `psi` and `diff`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 from .diagram import MAX_RANK, PeriodicDiagram, _as_state
 from .errors import InvariantError, ValidationError
-from .homalg import FreeComplex, SparseIntMatrix, isotypic_basis, project, reduce_unit_pivots
+from .homalg import FreeComplex, SparseIntMatrix, reduce_unit_pivots
 from .polynomials import BiPolynomial, LaurentPoly
 
 
@@ -302,23 +303,6 @@ class SliceComplex:
                     cols[col] = hit
                 col += 1
         return m
-
-    def eigen(self, d: int):
-        """The slice on the +1 (d = 1) or -1 (d = 2) eigenlattice of psi.
-
-        Returns (gens, dims, diffs): gens[i] is `isotypic_basis(psi(i), d)`,
-        one vector per orbit with its least id at +1; dims the nonzero ranks;
-        diffs[i] the d_i on gens[i], each image read at the least ids of
-        gens[i + 1], which is where an eigenvector's coordinates are.
-        """
-        gens = {i: isotypic_basis(self.psi(i), d) for i in self.basis}
-        dims = {i: len(g) for i, g in gens.items() if g}
-        diffs = {}
-        for i in dims:
-            if i + 1 in dims:
-                at = {min(v): k for k, v in enumerate(gens[i + 1])}
-                diffs[i] = project(self.diff(i), gens[i], dims[i + 1], at)
-        return gens, dims, diffs
 
     def psi(self, i: int) -> list[tuple[int, int]]:
         """Generator action as a signed permutation: index -> (index, sign)."""

@@ -19,13 +19,12 @@ the one `_totalize` builds: phi(d) generators per free orbit in column 0,
 every column for the other orbits, and differentials corrected by zigzags
 d h d ... through the free rows.
 
-The underived Hom from Z or Z_- is the slice on the +1 or -1 eigenlattice,
-`SliceComplex.eigen`, which the sector pages of the spectral sequence share.
-
-Rationally the group algebra is semisimple, so the computation reduces to
-projecting the complex onto the Phi_d-isotypic summand and taking homology;
-this side doubles as an independent check on the free ranks of the
-integral answer.
+The underived Hom from Z or Z_- is the +1 or -1 eigenlattice of the
+complex.  Rationally the group algebra is semisimple, so the computation
+reduces to the homology of the Phi_d-isotypic summand; this side doubles as
+an independent check on the free ranks of the integral answer.  Both are
+`homalg.isotypic_complex` of the orbit-reduced slices, the projection that
+the sector pages of the spectral sequence take of the whole slices.
 
 For speed, the complex is first compressed by Gaussian cancellation over
 the group ring: d is built only on the columns of orbit leads (the least
@@ -45,8 +44,7 @@ from .complexes import GradedAbGroup, SliceComplex, build_complex, khovanov_homo
 from .diagram import PeriodicDiagram
 from .errors import InvariantError, ValidationError
 from .homalg import (FreeComplex, OrbitCancellingComplex, SparseIntMatrix, cofactor,
-                     cyclotomic, eval_group_ring, int_rank, isotypic_basis, orbits,
-                     poly_divmod, project)
+                     cyclotomic, eval_group_ring, isotypic_complex, orbits, poly_divmod)
 from .oracles import MAX_WINDOW, euler_phi
 from .polynomials import BiPolynomial
 
@@ -424,23 +422,29 @@ def hom_cohomology(diagram: PeriodicDiagram, module: str = "trivial") -> GradedA
 
     No derived functors: per degree this is the subgroup on which the
     generator acts by +1 (trivial) or -1 (sign), with the induced
-    differential.  Depends on the chosen diagram, not just the link.
+    differential.  Depends on the chosen diagram, not just the link.  Taken on
+    the orbit-reduced slices, which are equivariantly homotopy equivalent.
     """
     if module not in ("trivial", "sign"):
         raise ValidationError("module must be 'trivial' or 'sign'")
     d = 1 if module == "trivial" else 2  # the +1 or -1 eigenlattice
     if d == 2 and diagram.n % 2:
         raise ValidationError("the sign module needs even rotation order")
-    cx = build_complex(diagram)
     out: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    for j in cx.quantum_range():
-        sl = cx.slice(j)
-        if not sl.basis:
-            continue
-        _, dims, diffs = sl.eigen(d)
-        for i, grp in FreeComplex(dims, diffs).homology().items():
+    for j, fc in _isotypic_slices(diagram, d):
+        for i, grp in fc.homology().items():
             out[(i, j)] = grp
     return GradedAbGroup.from_dict(out)
+
+
+def _isotypic_slices(diagram: PeriodicDiagram, d: int):
+    """(j, the Phi_d-isotypic part of the orbit-reduced slice j) per nonzero slice."""
+    cx = build_complex(diagram)
+    for j in cx.quantum_range():
+        sl = cx.slice(j)
+        if sl.basis:
+            red = equivariant_reduce(sl, diagram.n)
+            yield j, isotypic_complex(red.dims, red.psi.get, red.diffs.get, d)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -453,40 +457,15 @@ def rational_equivariant(diagram: PeriodicDiagram, d: int) -> dict:
     Returns {'dim_q': {(i, j): dim over Q}, 'dim_cyc': {(i, j): dim over the
     cyclotomic field}}; the former is always divisible by phi(d).
     """
-    n = diagram.n
-    _check_divisor(n, d)
-    cx = build_complex(diagram)
+    _check_divisor(diagram.n, d)
     phi_d = euler_phi(d)
     dims: dict[tuple[int, int], int] = {}
-    for j in cx.quantum_range():
-        sl = cx.slice(j)
-        if not sl.basis:
-            continue
-        red = equivariant_reduce(sl, n)
-        iso: dict[int, list[dict[int, int]]] = {}
-        for i, dim in red.dims.items():
-            iso[i] = isotypic_basis(red.psi[i], d)
-        ranks: dict[int, int] = {}
-        for i in red.dims:
-            if not iso.get(i) or (i + 1) not in red.dims:
-                ranks[i] = 0
-                continue
-            dmat = red.diffs.get(i)
-            if dmat is None:
-                ranks[i] = 0
-                continue
-            ranks[i] = int_rank(project(dmat, iso[i], red.dims[i + 1]))
-        for i in red.dims:
-            h = len(iso.get(i, ())) - ranks.get(i, 0) - ranks.get(i - 1, 0)
-            if h:
-                if h % phi_d:
-                    raise InvariantError("isotypic dimension not divisible by phi(d)")
-                dims[(i, j)] = h
-    return {
-        "dim_q": dims,
-        "dim_cyc": {k: v // phi_d for k, v in dims.items()},
-        "phi": phi_d,
-    }
+    for j, fc in _isotypic_slices(diagram, d):
+        for i, (h, _) in fc.homology(ring="Q").items():
+            if h % phi_d:
+                raise InvariantError("isotypic dimension not divisible by phi(d)")
+            dims[(i, j)] = h
+    return {"dim_q": dims, "dim_cyc": {k: v // phi_d for k, v in dims.items()}}
 
 
 def equivariant_polynomials(diagram: PeriodicDiagram, d: int):

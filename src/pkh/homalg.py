@@ -10,9 +10,11 @@ permutation of each basis.  A ring element is a plain coefficient list in
 ascending degree (`cyclotomic`, `cofactor`), and `eval_group_ring` gives its
 matrix at psi; at the cyclic shift of 1, t, ..., t^(n-1) that is the regular
 representation.  The cycles of psi are walked in one place, `orbits`, which
-serves the isotypic bases and the orbit cancellation.  `poly_divmod` divides
-by a monic polynomial over Z, and `rational_idempotents` gives the central
-idempotents of Q[t]/(t^n - 1) in closed form.
+serves the isotypic bases and the orbit cancellation; `isotypic_complex` is
+the one projection of a complex onto its Phi_d-isotypic part, over Z, for
+every d | n.  `poly_divmod` divides by a monic polynomial over Z, and
+`rational_idempotents` gives the central idempotents of Q[t]/(t^n - 1) in
+closed form.
 
 One Gaussian-cancellation step serves every engine.  `CancellingComplex`
 holds its only copy: the Schur update from a pivot row, the removal of the
@@ -444,30 +446,6 @@ def reduce_unit_pivots(cx) -> FreeComplex:
     return FreeComplex({i: dims.get(i, 0) for i in ranks}, diffs)
 
 
-def project(d: SparseIntMatrix, gens: list[dict[int, int]], nrows: int,
-            rows: dict[int, int] | None = None) -> SparseIntMatrix:
-    """The matrix of d on the sparse vectors `gens`, one column per vector.
-
-    Without `rows`, row r of the result is row r of d(v).  With `rows`, only
-    the rows it lists are kept, renumbered by it: for an eigen basis, d(v)
-    is determined by its coefficients at the orbit representatives.
-    """
-    out = SparseIntMatrix(nrows, len(gens))
-    drows, dcols = d.rows, d.cols
-    for col, vec in enumerate(gens):
-        img: dict[int, int] = {}
-        for k, a in vec.items():
-            for r in dcols.get(k, ()):
-                img[r] = img.get(r, 0) + a * drows[r][k]
-        for r, v in img.items():
-            if v:
-                if rows is None:
-                    out.add(r, col, v)
-                elif r in rows:
-                    out.add(rows[r], col, v)
-    return out
-
-
 def orbits(psi: list[tuple[int, int]]):
     """The cycles of a signed permutation (psi[e] = (image, sign)), by least id.
 
@@ -492,44 +470,78 @@ def orbits(psi: list[tuple[int, int]]):
         yield ids, signs, a
 
 
-def isotypic_basis(psi: list[tuple[int, int]], d: int) -> list[dict[int, int]]:
-    """Integer basis of the Phi_d-isotypic subspace of a signed permutation.
+def project(d: SparseIntMatrix, gens: list[dict[int, int]], nrows: int,
+            rows: dict[int, list[tuple[int, int]]]) -> SparseIntMatrix:
+    """The matrix of d on the sparse vectors `gens`, one column per vector: an
+    image's value at row r of d, times coef, adds to row k per (k, coef) in rows[r]."""
+    out = SparseIntMatrix(nrows, len(gens))
+    drows, dcols = d.rows, d.cols
+    for col, vec in enumerate(gens):
+        img: dict[int, int] = {}
+        for k, a in vec.items():
+            for r in dcols.get(k, ()):
+                img[r] = img.get(r, 0) + a * drows[r][k]
+        for r, v in img.items():
+            if v:
+                for row, coef in rows.get(r, ()):
+                    out.add(row, col, coef * v)
+    return out
 
-    Each orbit on which Phi_d divides the minimal polynomial of psi gives
-    phi(d) vectors, in orbit order (orbits by least id); each vector is
-    scaled so that its least id has coefficient +1.  For d = 1 and d = 2
-    that is one +-1 vector per orbit, a basis of the integral +1 and -1
-    eigenlattices, so `{min(v): k}` locates each vector's orbit.
+
+def isotypic_basis(psi: list[tuple[int, int]], d: int):
+    """Integer basis of ker Phi_d(psi), for a signed permutation psi, and its coordinates.
+
+    An orbit of length L with psi^L = sigma and Phi_d | t^L - sigma gives the
+    vectors h t^s, s < phi(d), h = (t^L - sigma) / Phi_d, scaled to +1 at
+    their least id; orbits go by least id.  h has constant term +-1 and degree
+    L - phi(d), so on the orbit's first phi(d) ids the vectors are triangular
+    with +-1 on the diagonal.  Returns (vectors, coords): coords inverts those
+    blocks, id -> [(k, coef)], so a lattice vector's coordinate k is the sum
+    of coef * its value at id.  At d = 1, 2 (the +1, -1 eigenlattices) that
+    reads each orbit's one vector at its least id.
     """
     out: list[dict[int, int]] = []
-    phi_d = len(cyclotomic(d)) - 1
-    for elems, signs, sigma in orbits(psi):
-        L = len(elems)
-        if sigma == 1:
-            # Phi_d divides t^L - 1 iff d | L
-            if L % d:
-                continue
-            h = cofactor(d, L)
-        else:
-            # Phi_d divides t^L + 1 iff d | 2L and d does not divide L
-            if (2 * L) % d or L % d == 0:
-                continue
-            tl_plus_1 = [1] + [0] * (L - 1) + [1]
-            h = poly_divmod_exact(tl_plus_1, cyclotomic(d))
-        for shift in range(phi_d):
-            vec: dict[int, int] = {}
-            for k, coef in enumerate(h):
-                if coef:
-                    pos = (k + shift) % L
-                    wrap = (k + shift) // L
-                    val = coef * signs[pos] * (sigma ** wrap)
-                    vec[elems[pos]] = vec.get(elems[pos], 0) + val
-            vec = {k: v for k, v in vec.items() if v}
-            if vec:
-                if vec[min(vec)] < 0:
-                    vec = {k: -v for k, v in vec.items()}
-                out.append(vec)
-    return out
+    coords: dict[int, list[tuple[int, int]]] = {}
+    phi = cyclotomic(d)
+    phi_d = len(phi) - 1
+    for ids, signs, sigma in orbits(psi):
+        h, rem = poly_divmod([-sigma] + [0] * (len(ids) - 1) + [1], phi)
+        if rem:
+            continue
+        # g = 1 / h mod t^phi(d), the inverse of the triangular Toeplitz block
+        g = [h[0]]
+        for k in range(1, phi_d):
+            g.append(-h[0] * sum(h[m] * g[k - m] for m in range(1, min(k, len(h) - 1) + 1)))
+        base, scale = len(out), []
+        for s in range(phi_d):
+            vec = {ids[k + s]: c * signs[k + s] for k, c in enumerate(h) if c}
+            scale.append(1 if vec[min(vec)] > 0 else -1)
+            out.append(vec if scale[s] > 0 else {e: -c for e, c in vec.items()})
+        for m in range(phi_d):
+            coords[ids[m]] = [(base + s, scale[s] * g[s - m] * signs[m])
+                              for s in range(m, phi_d) if g[s - m]]
+    return out, coords
+
+
+def isotypic_complex(dims, psi, diff, d: int):
+    """The Phi_d-isotypic part of a complex with a chain automorphism, over Z.
+
+    psi(i) is the automorphism on degree i of `dims` as a signed
+    permutation, and diff(i) is d_i or None, asked for only where both ends
+    have a nonzero part.  Returns (gens, complex): gens[i] are the vectors of
+    `isotypic_basis(psi(i), d)`, and the complex is d on them, in their coordinates.
+    """
+    gens, coords = {}, {}
+    for i in dims:
+        gens[i], coords[i] = isotypic_basis(psi(i), d)
+    iso_dims = {i: len(g) for i, g in gens.items() if g}
+    diffs = {}
+    for i in iso_dims:
+        if i + 1 in iso_dims:
+            m = diff(i)
+            if m is not None:
+                diffs[i] = project(m, gens[i], iso_dims[i + 1], coords[i + 1])
+    return gens, FreeComplex(iso_dims, diffs)
 
 
 class CancellingComplex:

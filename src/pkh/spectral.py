@@ -20,7 +20,7 @@ from itertools import combinations
 from .complexes import DiagramComplex, build_complex, khovanov_homology
 from .diagram import Crossing, PeriodicDiagram, QuotientTangle
 from .errors import InvariantError, ValidationError
-from .homalg import CancellingComplex, SparseIntMatrix, int_rank
+from .homalg import CancellingComplex, SparseIntMatrix, int_rank, isotypic_complex
 
 # ---------------------------------------------------------------------------
 # resolved diagrams
@@ -362,7 +362,8 @@ class _FilteredSlice:
 
 
 def _build_slices(bic: OrbitResolutionBicomplex, sector: int | None):
-    D = bic.diagram
+    """One `_FilteredSlice` per nonzero j-slice, of the whole slice's Phi_sector
+    part if given: X is invariant, so each isotypic vector has one level."""
     cx = bic.complex
     L = len(bic.X)
     slices = {}
@@ -375,11 +376,8 @@ def _build_slices(bic: OrbitResolutionBicomplex, sector: int | None):
             levels = {i: [bic.level(b) for b, _ in basis] for i, basis in sl.basis.items()}
             mats = {i: sl.diff(i) for i in dims if i + 1 in dims}
         else:
-            if D.n != 2:
-                raise ValidationError("sectors are defined for rotation order 2")
-            if not bic.is_invariant():
-                raise ValidationError("sector projection needs an invariant X")
-            gens, dims, mats = sl.eigen(1 if sector == 1 else 2)
+            gens, fc = isotypic_complex(sl.dims, sl.psi, sl.diff, sector)
+            dims, mats = fc.dims, fc.diffs
             levels = {i: [bic.level(sl.basis[i][min(v)][0]) for v in gens[i]] for i in dims}
         if dims:
             slices[j] = _FilteredSlice(dims, levels, mats, L)
@@ -390,10 +388,17 @@ def run_pages(diagram: PeriodicDiagram, X, sector: int | None = None,
               bic: OrbitResolutionBicomplex | None = None) -> list[SSPage]:
     """Pages E_1 .. E_infinity of the orbit-resolution filtration over Q.
 
-    With sector 1 or 2 (rotation order 2 and X an orbit), the filtration is
-    first projected onto the invariant or anti-invariant part.
+    With a sector d | n (n = 2 only, and X an orbit), the filtration is first
+    projected onto its Phi_d-isotypic part: the invariant or anti-invariant part.
     """
     bic = bic or build_filtration(diagram, X)
+    if sector is not None:
+        if sector < 1 or diagram.n % sector:
+            raise ValidationError(f"sector {sector} does not divide the rotation order {diagram.n}")
+        if diagram.n != 2:
+            raise ValidationError("sectors are defined for rotation order 2")
+        if not bic.is_invariant():
+            raise ValidationError("sector projection needs an invariant X")
     slices = _build_slices(bic, sector)
     L = len(bic.X)
     pages = []
@@ -449,8 +454,6 @@ def equivariant_e1_2periodic(diagram: PeriodicDiagram, X, sector: int) -> SSPage
     """Sector-projected first page for a 2-periodic diagram, X one orbit."""
     if diagram.n != 2:
         raise ValidationError("defined for rotation order 2")
-    if sector not in (1, 2):
-        raise ValidationError("sector must be 1 or 2")
     X = tuple(X)
     if set(X) != set(crossing_orbit(diagram, X[0])) or len(X) != 2:
         raise ValidationError("X must be a single crossing orbit")

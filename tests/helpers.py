@@ -1,13 +1,15 @@
 """Helpers the tests share and the package does not use.
 
 Dense views of sparse matrices, the product of integer polynomials, the
-mirror of a graded group, equivariant groups compared over a window, and
-the chain-level tiling of the orbit-resolution filtration.
+mirror of a graded group, equivariant groups compared over a window, the
+chain-level tiling of the orbit-resolution filtration, and references for
+the isotypic projection: the full-row product, the eigenlattices of a
+signed permutation walked cycle by cycle, and the slice on them.
 """
 
 from pkh.complexes import GradedAbGroup, build_complex
-from pkh.equivariant import EquivariantGroups
-from pkh.homalg import SparseIntMatrix
+from pkh.equivariant import EquivariantGroups, equivariant_reduce
+from pkh.homalg import FreeComplex, SparseIntMatrix, isotypic_complex
 from pkh.spectral import OrbitResolutionBicomplex, resolve_diagram
 
 
@@ -70,3 +72,68 @@ def resolutions_tile(bic: OrbitResolutionBicomplex) -> bool:
                 key = (i + c + p, j + p + 3 * c + len(bic.X))
                 want[key] = want.get(key, 0) + dim
     return want == bic.complex.dims()
+
+
+def project_full_rows(d: SparseIntMatrix, gens: list[dict[int, int]], nrows: int) -> SparseIntMatrix:
+    """The matrix of d on the sparse vectors `gens`: column k is d(gens[k]), every row kept."""
+    out = SparseIntMatrix(nrows, len(gens))
+    for col, vec in enumerate(gens):
+        for k, a in vec.items():
+            for r in d.cols.get(k, ()):
+                out.add(r, col, a * d.rows[r][k])
+    return out
+
+
+def eigenlattice(psi: list[tuple[int, int]], eps: int) -> list[dict[int, int]]:
+    """Basis of the eps-eigenlattice of a signed permutation, eps = +-1.
+
+    One vector per cycle that has one, walked from the cycle's least id at
+    +1: psi(v) = eps v fixes each coefficient from the one before, and the
+    cycle has a vector when the walk comes back to +1.
+    """
+    out, seen = [], set()
+    for start in range(len(psi)):
+        if start in seen:
+            continue
+        vec, e, c = {}, start, 1
+        while e not in vec:
+            vec[e] = c
+            e, s = psi[e]
+            c *= s * eps
+        seen.update(vec)
+        if c == 1:
+            out.append(vec)
+    return out
+
+
+def slice_eigen(sl, eps: int) -> FreeComplex:
+    """The whole slice on the eps-eigenlattice of psi, eps = +-1.
+
+    Each image is read at the least ids of the target vectors, where an
+    eigenvector's coordinates are: the plain Hom complex from Z or Z_-.
+    """
+    gens = {i: eigenlattice(sl.psi(i), eps) for i in sl.basis}
+    dims = {i: len(g) for i, g in gens.items() if g}
+    diffs = {}
+    for i in dims:
+        if i + 1 in dims:
+            at = {min(v): k for k, v in enumerate(gens[i + 1])}
+            m = diffs[i] = SparseIntMatrix(dims[i + 1], dims[i])
+            for r, c, v in project_full_rows(sl.diff(i), gens[i], sl.dim(i + 1)).entries():
+                if r in at:
+                    m.set(at[r], c, v)
+    return FreeComplex(dims, diffs)
+
+
+def isotypic_parts(sl, n: int, diffs: dict[int, SparseIntMatrix]):
+    """(d, complex) for the Phi_d-isotypic parts of one slice, at every d | n.
+
+    Two per d: that of the whole slice, with the differentials `diffs`, as
+    the sector pages take it, and that of `equivariant_reduce`'s output, as
+    `rational_equivariant` and `hom_cohomology` take it.
+    """
+    red = equivariant_reduce(sl, n)
+    for d in range(1, n + 1):
+        if n % d == 0:
+            yield d, isotypic_complex(sl.dims, sl.psi, diffs.get, d)[1]
+            yield d, isotypic_complex(red.dims, red.psi.get, red.diffs.get, d)[1]

@@ -116,6 +116,14 @@ class TestCommands:
         e2 = next(p for p in doc["pages"] if p["r"] == 2)
         assert e2["entries"] == [{"p": 1, "q": 3, "quantum": 12, "dim": 1}]
 
+    def test_ss_rejects_a_sector_it_has_no_pages_for(self, capsys, corpus_dir):
+        # a sector must divide n, and pages exist for n = 2 only
+        for name, d in (("hopf", "3"), ("hopf", "0"), ("borromean_n3", "3"),
+                        ("borromean_n3", "1")):
+            code, err = run_cli_err(capsys, "ss", str(corpus_dir / f"{name}.json"), "--d", d)
+            assert code == 1, (name, d)
+            assert len(err) == 1 and err[0].startswith("error: "), (name, d, err)
+
     def test_verify_ok(self, capsys, corpus_dir):
         for name in ("hopf", "unknot2_n2", "trivial_p3_k1_f1", "borromean_n3"):
             code, out = run_cli(capsys, "verify", str(corpus_dir / f"{name}.json"))
@@ -187,7 +195,7 @@ class TestVerifyReport:
 
     PSI_AT = (5, 2, 3)  # (j, i, k)
     # the first failure: psi d = d psi on degree 1, where d lands on the flipped sign
-    WITNESS = [1, 5, 1]
+    DETAIL = {"check": "psi_commutes", "witness": [1, 5, 1]}
 
     @staticmethod
     def corrupt(monkeypatch, diff_at=None):
@@ -211,8 +219,8 @@ class TestVerifyReport:
             monkeypatch.setattr(SliceComplex, "build_diff", bad_diff)
 
     @staticmethod
-    def checks(capsys, corpus_dir):
-        code, out = run_cli(capsys, "verify", str(corpus_dir / "t3_2.json"))
+    def checks(capsys, corpus_dir, name="t3_2"):
+        code, out = run_cli(capsys, "verify", str(corpus_dir / f"{name}.json"))
         assert code == 2
         return {c["name"]: c for c in json.loads(out)["checks"]}
 
@@ -221,7 +229,19 @@ class TestVerifyReport:
         checks = self.checks(capsys, corpus_dir)
         assert checks["differential_squares_to_zero"]["pass"]
         assert checks["action_is_chain_automorphism"] == {
-            "name": "action_is_chain_automorphism", "pass": False, "detail": self.WITNESS}
+            "name": "action_is_chain_automorphism", "pass": False, "detail": self.DETAIL}
+
+    def test_wrong_order_is_named_in_the_detail(self, capsys, corpus_dir, monkeypatch):
+        # -psi on the whole slice j = -3 of borromean_n3 commutes with d, but
+        # has order 6 where n = 3: the first failure is the slice's first generator
+        build_psi = SliceComplex._build_psi
+        monkeypatch.setattr(SliceComplex, "_build_psi", lambda sl, deg: [
+            (k, -s if sl.j == -3 else s) for k, s in build_psi(sl, deg)])
+        low = min(build_complex(corpus.build("borromean_n3")).slice(-3).basis)
+        checks = self.checks(capsys, corpus_dir, "borromean_n3")
+        assert checks["differential_squares_to_zero"]["pass"]
+        assert checks["action_is_chain_automorphism"]["detail"] == {
+            "check": "psi_order", "witness": [low, -3, 0]}
 
     def test_d_squared_is_checked_after_an_action_failure(self, capsys, corpus_dir,
                                                           monkeypatch):
@@ -230,7 +250,7 @@ class TestVerifyReport:
         self.corrupt(monkeypatch, (7, 1, min(d2.cols)))
         checks = self.checks(capsys, corpus_dir)
         assert not checks["differential_squares_to_zero"]["pass"]
-        assert checks["action_is_chain_automorphism"]["detail"] == self.WITNESS
+        assert checks["action_is_chain_automorphism"]["detail"] == self.DETAIL
 
 
 def run_cli_err(capsys, *argv):

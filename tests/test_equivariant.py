@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pkh import corpus
-from pkh.complexes import khovanov_homology, khovanov_polynomial
+from pkh.complexes import GradedAbGroup, khovanov_homology, khovanov_polynomial
 from pkh.diagram import diagram_from_dict
 from pkh.equivariant import (PeriodicResolution, _free_rows, build_resolution,
                              equivariant_polynomials, equivariant_reduce, ext_groups,
@@ -13,7 +13,7 @@ from pkh.errors import ValidationError
 from pkh.homalg import eval_group_ring
 from pkh.oracles import euler_phi
 from pkh.polynomials import BiPolynomial
-from helpers import same_groups, to_dense
+from helpers import same_groups, slice_eigen, to_dense
 
 
 class TestResolutions:
@@ -234,6 +234,23 @@ class TestHomCohomology:
     def test_trivial_module_at_n1_is_khovanov(self, diagrams):
         d = diagrams("trefoil")
         assert hom_cohomology(d, "trivial") == khovanov_homology(d, "Z")
+
+    def test_matches_the_whole_slice_eigenlattice(self, diagrams, complexes):
+        """The groups of the reduced slices are those of the whole slices."""
+        for name in corpus.corpus_names():
+            if name == "t8_2":
+                continue
+            D = diagrams(name)
+            cx = complexes(name)
+            for module, eps in (("trivial", 1), ("sign", -1)):
+                if eps < 0 and D.n % 2:
+                    continue
+                want = {}
+                for j in cx.quantum_range():
+                    sl = cx.slice(j)
+                    if sl.basis:
+                        want.update(((i, j), grp) for i, grp in slice_eigen(sl, eps).homology().items())
+                assert hom_cohomology(D, module) == GradedAbGroup.from_dict(want), (name, module)
 
     def test_sign_needs_even_order(self, diagrams):
         with pytest.raises(ValidationError):

@@ -6,12 +6,14 @@ from pkh import corpus
 from pkh.complexes import build_complex
 from pkh.equivariant import EquivariantSlice, PeriodicResolution, _totalize, equivariant_reduce
 from pkh.errors import ValidationError
+from pkh.equivariant import rational_equivariant
 from pkh.homalg import (FreeComplex, OrbitCancellingComplex, SparseIntMatrix,
                         cofactor, cyclotomic, eval_group_ring, int_rank,
                         isotypic_basis, orbits, project,
                         rational_idempotents, reduce_unit_pivots,
                         smith_normal_form)
-from helpers import from_dense, poly_mul, to_dense, transpose
+from helpers import (from_dense, isotypic_parts, poly_mul, project_full_rows, to_dense,
+                     transpose)
 
 
 class TestSmithNormalForm:
@@ -482,8 +484,8 @@ def slice_ext(red, n, d):
 
 def slice_isotypic(red, d):
     """Rank of the Phi_d-isotypic homology per degree, as rational_equivariant takes it."""
-    iso = {i: isotypic_basis(red.psi[i], d) for i in red.dims}
-    rank = {i: int_rank(project(red.diffs[i], iso[i], red.dims[i + 1]))
+    iso = {i: isotypic_basis(red.psi[i], d)[0] for i in red.dims}
+    rank = {i: int_rank(project_full_rows(red.diffs[i], iso[i], red.dims[i + 1]))
             for i in red.dims if iso[i] and i in red.diffs}
     return {i: len(iso[i]) - rank.get(i, 0) - rank.get(i - 1, 0) for i in red.dims}
 
@@ -553,6 +555,22 @@ def random_signed_permutation(rng):
         for k, e in enumerate(cyc):
             psi[e] = (cyc[(k + 1) % len(cyc)], rng.choice((1, -1)))
     return psi, cycles
+
+
+def random_signed_orbits(rng):
+    """A signed permutation of cycles whose lengths suit d = 3, 4 and 6, with either sigma."""
+    psi, ids = [], 0
+    for _ in range(rng.randint(1, 6)):
+        L = rng.choice((1, 2, 3, 4, 6, 8, 9, 12))
+        signs = [rng.choice((1, -1)) for _ in range(L)]
+        psi.extend((ids + (k + 1) % L, signs[k]) for k in range(L))
+        ids += L
+    perm = list(range(ids))
+    rng.shuffle(perm)
+    out = [None] * ids
+    for e, (f, s) in enumerate(psi):
+        out[perm[e]] = (perm[f], s)
+    return out
 
 
 def kernel_inputs():
@@ -702,7 +720,7 @@ class TestCancellationKernel:
         for _ in range(40):
             psi, cycles = random_signed_permutation(rng)
             for d, eps in ((1, 1), (2, -1)):
-                gens = isotypic_basis(psi, d)
+                gens, coords = isotypic_basis(psi, d)
                 want = 0
                 for cyc in cycles:
                     sigma = 1
@@ -716,6 +734,8 @@ class TestCancellationKernel:
                     image = {psi[e][0]: psi[e][1] * c for e, c in v.items()}
                     assert image == {e: eps * c for e, c in v.items()}
                 assert [min(v) for v in gens] == sorted(min(v) for v in gens)
+                # coordinates are read at the least id of each vector
+                assert coords == {min(v): [(k, 1)] for k, v in enumerate(gens)}
 
     def test_project_matches_dense_product(self):
         rng = random.Random(31)
@@ -725,14 +745,93 @@ class TestCancellationKernel:
                      for _ in range(nc)] for _ in range(nr)]
             gens = [{k: rng.choice((-2, -1, 1, 2)) for k in rng.sample(range(nc), rng.randint(0, nc))}
                     for _ in range(rng.randint(0, 4))]
-            want = [[sum(rows[r][k] * v.get(k, 0) for k in range(nc)) for v in gens]
-                    for r in range(nr)]
-            keep = rng.sample(range(nr), rng.randint(0, nr))
-            for got, rows_want in ((project(from_dense(rows), gens, nr), want),
-                                   (project(from_dense(rows), gens, len(keep),
-                                            {r: k for k, r in enumerate(keep)}),
-                                    [want[r] for r in keep])):
-                assert (got.nrows, got.ncols) == (len(rows_want), len(gens))
-                assert to_dense(got) == rows_want
-                assert got.cols == {c: {r for r, row in got.rows.items() if c in row}
-                                    for c in range(len(gens)) if any(row[c] for row in rows_want)}
+            img = [[sum(rows[r][k] * v.get(k, 0) for k in range(nc)) for v in gens]
+                   for r in range(nr)]
+            assert to_dense(project_full_rows(from_dense(rows), gens, nr)) == img
+            nout = rng.randint(1, 4)
+            coords = {r: [(rng.randrange(nout), rng.choice((-2, -1, 1, 3)))
+                          for _ in range(rng.randint(0, 2))]
+                      for r in rng.sample(range(nr), rng.randint(0, nr))}
+            want = [[0] * len(gens) for _ in range(nout)]
+            for r, pairs in coords.items():
+                for row, coef in pairs:
+                    for col in range(len(gens)):
+                        want[row][col] += coef * img[r][col]
+            got = project(from_dense(rows), gens, nout, coords)
+            assert (got.nrows, got.ncols) == (nout, len(gens))
+            assert to_dense(got) == want
+            assert all(v for row in got.rows.values() for v in row.values())
+            assert got.cols == {c: {r for r, row in got.rows.items() if c in row}
+                                for c in range(len(gens)) if any(row[c] for row in want)}
+
+
+class TestIsotypicProjection:
+    """`isotypic_basis` at every d and `isotypic_complex` on the corpus."""
+
+    def test_coordinates_read_back_every_combination(self):
+        """On signed orbits at d = 3, 4, 6 the basis spans ker Phi_d(psi), and
+        the coordinates return the integer combination a vector was made of."""
+        rng = random.Random(43)
+        for _ in range(40):
+            psi = random_signed_orbits(rng)
+            for d in (3, 4, 6):
+                gens, coords = isotypic_basis(psi, d)
+                phi = eval_group_ring(cyclotomic(d), psi, len(psi))
+                assert len(gens) == len(psi) - int_rank(phi), (psi, d)
+                for v in gens:
+                    assert all(sum(a * v.get(c, 0) for c, a in row.items()) == 0
+                               for row in phi.rows.values()), (psi, d, v)
+                for _ in range(3):
+                    comb = [rng.randint(-4, 4) for _ in gens]
+                    vec: dict[int, int] = {}
+                    for c, v in zip(comb, gens):
+                        for e, a in v.items():
+                            vec[e] = vec.get(e, 0) + c * a
+                    back = [0] * len(gens)
+                    for e, pairs in coords.items():
+                        for k, coef in pairs:
+                            back[k] += coef * vec.get(e, 0)
+                    assert back == comb, (psi, d)
+
+    def test_every_isotypic_complex_composes(self, diagrams, complexes):
+        """d o d = 0 on the Phi_d part of every slice, whole and reduced, at every d | n.
+
+        The corpus has no crossing with n = 4, so d = 4 is projected here but
+        meets a nonzero differential only in `test_moves`' closures.
+        """
+        parts, seen = set(), set()
+        for name in corpus.corpus_names():
+            if name == "t8_2":
+                continue
+            D = diagrams(name)
+            cx = complexes(name)
+            for j in cx.quantum_range():
+                sl = cx.slice(j)
+                if not sl.basis:
+                    continue
+                fc = sl.to_free_complex()
+                for d, iso in isotypic_parts(sl, D.n, fc.diffs):
+                    iso.check_composes()
+                    if iso.dims:
+                        parts.add(d)
+                    if iso.diffs:
+                        seen.add(d)
+        assert parts == {1, 2, 3, 4} and seen == {1, 2, 3}
+
+    def test_rational_equivariant_matches_full_row_ranks(self, diagrams, complexes):
+        """Per reduced slice, the isotypic ranks of the full-row projection."""
+        for name in corpus.corpus_names():
+            if name == "t8_2":
+                continue
+            D = diagrams(name)
+            cx = complexes(name)
+            for d in range(1, D.n + 1):
+                if D.n % d:
+                    continue
+                want = {}
+                for j in cx.quantum_range():
+                    sl = cx.slice(j)
+                    if sl.basis:
+                        red = equivariant_reduce(sl, D.n)
+                        want.update(((i, j), h) for i, h in slice_isotypic(red, d).items() if h)
+                assert rational_equivariant(D, d)["dim_q"] == want, (name, d)

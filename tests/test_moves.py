@@ -17,7 +17,8 @@ a closure can have, which covers every classical degree and the start of
 the two-periodic tail.
 
 Every closure drawn also runs the per-diagram suite: d^2 = 0 on each
-slice, the rotation a chain automorphism of order n, and the graded Euler
+slice and on each of its Phi_d-isotypic parts, whole and orbit-reduced,
+the rotation a chain automorphism of order n, and the graded Euler
 characteristic of the homology equal to the state sum.  Each unmoved
 closure also passes the tail checks at every d | n (each n here is a prime
 power).
@@ -40,6 +41,7 @@ from pkh.diagram import diagram_from_dict
 from pkh.equivariant import (equivariant_reduce, ext_groups, rational_equivariant, tail_checks,
                              total_comparison)
 from pkh.errors import ValidationError
+from helpers import isotypic_parts
 from test_homalg import reference_slice_ext
 
 MAX_CROSSINGS = {2: 10, 3: 9, 4: 8}
@@ -154,7 +156,10 @@ def test_per_diagram_suite(n):
         for j in cx.quantum_range():
             sl = cx.slice(j)
             if sl.basis:
-                sl.to_free_complex().check_composes()
+                fc = sl.to_free_complex()
+                fc.check_composes()
+                for _, iso in isotypic_parts(sl, n, fc.diffs):
+                    iso.check_composes()
         assert verify_module_structure(D)["ok"], where
         # the free ranks of the integral groups, which the move tests share
         poincare = khovanov_homology(D, "Z").poincare()

@@ -222,6 +222,12 @@ class TestEquivariantPages:
         with pytest.raises(ValidationError):
             run_pages(d, crossing_orbit(d, 0), sector=2)
 
+    def test_sector_must_divide_the_order(self, diagrams):
+        d = diagrams("hopf")
+        for sector in (3, 0, -2):
+            with pytest.raises(ValidationError, match="does not divide"):
+                run_pages(d, crossing_orbit(d, 0), sector=sector)
+
     def test_sector_requires_orbit(self, diagrams):
         with pytest.raises(ValidationError):
             equivariant_e1_2periodic(diagrams("t4_2"), (0, 1), 2)
