@@ -41,15 +41,18 @@ def fixed_state_sign(diagram: PeriodicDiagram, state) -> int:
     return -1 if s_exponent(n, r, d, diagram.n_minus) & 1 else 1
 
 
-def verify_module_structure(diagram: PeriodicDiagram) -> dict:
+def verify_module_structure(diagram: PeriodicDiagram, hand_over=None) -> dict:
     """Check d o d = 0, psi^n = 1 and psi d = d psi, one j-slice at a time.
 
-    Each slice's differentials are built once, checked by `check_composes`
-    and against psi, and dropped before the next slice.  The two checks are
-    independent: d o d = 0 is checked on every slice whatever psi does.
-    Returns a report dict: `composes` for d o d = 0, `acts` for the action,
-    `ok` for both; on an action failure `check` names it and `witness` the
-    first offending (i, j, basis index).
+    Each slice's differentials are built once, by `to_free_complex`, and
+    checked by `check_composes` and against psi.  Then they are passed,
+    uncopied, to `hand_over(slice, complex)` if given, which owns them from
+    then on (`verify` builds its spectral pages from them), and dropped:
+    no matrix of a slice is alive when the next slice's are built.  The two
+    checks are independent: d o d = 0 is checked on every slice whatever
+    psi does.  Returns a report dict: `composes` for d o d = 0, `acts` for
+    the action, `ok` for both; on an action failure `check` names it and
+    `witness` the first offending (i, j, basis index).
     """
     cx = build_complex(diagram)
     n = diagram.n
@@ -63,6 +66,9 @@ def verify_module_structure(diagram: PeriodicDiagram) -> dict:
             composes = False
         if failure is None:
             failure = _action_failure(sl, fc.diffs, n)
+        if hand_over is not None:
+            hand_over(sl, fc)
+        del fc  # before the next slice's matrices are built
     acts = failure is None
     check, witness = ("all", None) if acts else failure
     return {"ok": composes and acts, "composes": composes, "acts": acts,
@@ -70,7 +76,15 @@ def verify_module_structure(diagram: PeriodicDiagram) -> dict:
 
 
 def _action_failure(sl, diffs, n: int) -> tuple[str, tuple[int, int, int]] | None:
-    """The first failure of psi^n = 1 or psi d = d psi on one slice, or None."""
+    """The first failure of psi^n = 1 or psi d = d psi on one slice, or None.
+
+    psi d = d psi is read off entry by entry: column k of d and column
+    psi(k) have equally many entries, and d[psi(r)][psi(k)] equals
+    sg * ts * d[r][k] for every entry d[r][k], where psi(k) carries sign sg
+    and psi(r) sign ts.  That is exact while psi is a bijection on degree
+    i + 1; where it is not, psi^n = 1 fails there, so `acts` is false
+    either way.
+    """
     for i, basis in sl.basis.items():
         psi = sl.psi(i)
         for k in range(len(basis)):
@@ -83,17 +97,17 @@ def _action_failure(sl, diffs, n: int) -> tuple[str, tuple[int, int, int]] | Non
         d = diffs.get(i)
         if d is not None:
             psi_t = sl.psi(i + 1)
+            rows, cols = d.rows, d.cols
             for k in range(len(basis)):
                 img, sg = psi[k]
-                lhs = {}  # d(psi x)
-                for r in d.cols.get(img, ()):
-                    lhs[r] = lhs.get(r, 0) + sg * d.rows[r][img]
-                rhs = {}  # psi(d x)
-                for r in d.cols.get(k, ()):
-                    tr, ts = psi_t[r]
-                    rhs[tr] = rhs.get(tr, 0) + ts * d.rows[r][k]
-                if {a: b for a, b in lhs.items() if b} != {a: b for a, b in rhs.items() if b}:
+                col = cols.get(k, ())
+                if len(col) != len(cols.get(img, ())):
                     return "psi_commutes", (i, sl.j, k)
+                for r in col:
+                    tr, ts = psi_t[r]
+                    row = rows.get(tr)
+                    if row is None or row.get(img) != sg * ts * rows[r][k]:
+                        return "psi_commutes", (i, sl.j, k)
     return None
 
 

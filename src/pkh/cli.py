@@ -21,7 +21,8 @@ from .equivariant import (equivariant_polynomials, ext_groups,
 from .errors import InvariantError, ParseError, PkhError, ValidationError
 from .homalg import rational_idempotents
 from .oracles import poly_P, torus_ekh2, torus_khp, trivial_link_ekh
-from .spectral import crossing_orbit, einf_abutment_ok, run_pages
+from .spectral import (build_filtration, crossing_orbit, einf_abutment_ok, filtered_slice,
+                       run_pages)
 
 USAGE_EXIT, INVARIANT_EXIT, IO_EXIT = 1, 2, 3
 
@@ -78,7 +79,12 @@ def _tables(payload, prefix=""):
     elif isinstance(payload, list):
         for v in payload:
             if isinstance(v, (dict, list)):
-                yield from _tables(v, prefix + "  ")
+                # an item's first line starts with "- ", so items stay apart
+                lines = _tables(v, prefix + "  ")
+                first = next(lines, None)
+                if first is not None:
+                    yield f"{prefix}- {first[len(prefix) + 2:]}"
+                    yield from lines
             else:
                 yield f"{prefix}- {_scalar(v)}"
 
@@ -186,7 +192,16 @@ def cmd_verify(args) -> int:
             entry["detail"] = detail
         checks.append(entry)
 
-    rep = verify_module_structure(D)
+    # one walk over the slices: the pages take over the matrices the checks ran on
+    bic = build_filtration(D, crossing_orbit(D, 0)) if D.ncross else None
+    slices = {}
+
+    def to_pages(sl, fc):
+        fs = filtered_slice(bic, sl, fc)
+        if fs is not None:
+            slices[sl.j] = fs
+
+    rep = verify_module_structure(D, None if bic is None else to_pages)
     record("differential_squares_to_zero", rep["composes"])
     record("action_is_chain_automorphism", rep["acts"],
            None if rep["acts"] else {"check": rep["check"], "witness": rep["witness"]})
@@ -196,9 +211,9 @@ def cmd_verify(args) -> int:
     idem = rational_idempotents(D.n)
     tot = [sum(e[k] for e in idem.values()) for k in range(D.n)]
     record("idempotents_sum_to_one", tot[0] == 1 and all(v == 0 for v in tot[1:]))
-    if D.ncross:
-        X = crossing_orbit(D, 0)
-        record("spectral_sequence_abuts", einf_abutment_ok(D, X))
+    if bic is not None:
+        pages = run_pages(D, bic.X, bic=bic, slices=slices)
+        record("spectral_sequence_abuts", einf_abutment_ok(D, bic.X, pages))
     ok = all(c["pass"] for c in checks)
     _emit({"ok": ok, "checks": checks}, args.format)
     return 0 if ok else INVARIANT_EXIT

@@ -29,6 +29,8 @@ from .homalg import CancellingComplex, SparseIntMatrix, int_rank, isotypic_compl
 def crossing_orbit(diagram: PeriodicDiagram, crossing: int) -> tuple[int, ...]:
     """The rotation orbit of a global crossing index."""
     t = diagram.ncross_t
+    if not diagram.ncross:
+        raise ValidationError("the diagram has no crossing to resolve")
     if not 0 <= crossing < diagram.ncross:
         raise ValidationError("crossing index out of range")
     base = crossing % t
@@ -361,35 +363,49 @@ class _FilteredSlice:
         return val
 
 
+def filtered_slice(bic: OrbitResolutionBicomplex, sl, fc) -> _FilteredSlice | None:
+    """The page oracle of j-slice `sl`, or None for an empty slice.
+
+    `fc` is the slice's complex as `to_free_complex` builds it, and its
+    matrices are taken over uncopied: `verify` hands over the ones its
+    checks ran on, so each is built once.
+    """
+    if not fc.dims:
+        return None
+    levels = {i: [bic.level(b) for b, _ in sl.basis[i]] for i in fc.dims}
+    return _FilteredSlice(fc.dims, levels, fc.diffs, len(bic.X))
+
+
 def _build_slices(bic: OrbitResolutionBicomplex, sector: int | None):
-    """One `_FilteredSlice` per nonzero j-slice, of the whole slice's Phi_sector
-    part if given: X is invariant, so each isotypic vector has one level."""
+    """One `_FilteredSlice` per nonzero j-slice, each slice built in full by
+    `filtered_slice`, or with a sector its Phi_sector part: X is invariant,
+    so each isotypic vector has one level."""
     cx = bic.complex
-    L = len(bic.X)
     slices = {}
     for j in cx.quantum_range():
         sl = cx.slice(j)
         if not sl.basis:
             continue
         if sector is None:
-            dims = sl.dims
-            levels = {i: [bic.level(b) for b, _ in basis] for i, basis in sl.basis.items()}
-            mats = {i: sl.diff(i) for i in dims if i + 1 in dims}
+            fs = filtered_slice(bic, sl, sl.to_free_complex())
         else:
             gens, fc = isotypic_complex(sl.dims, sl.psi, sl.diff, sector)
-            dims, mats = fc.dims, fc.diffs
-            levels = {i: [bic.level(sl.basis[i][min(v)][0]) for v in gens[i]] for i in dims}
-        if dims:
-            slices[j] = _FilteredSlice(dims, levels, mats, L)
+            levels = {i: [bic.level(sl.basis[i][min(v)][0]) for v in gens[i]] for i in fc.dims}
+            fs = _FilteredSlice(fc.dims, levels, fc.diffs, len(bic.X)) if fc.dims else None
+        if fs is not None:
+            slices[j] = fs
     return slices
 
 
 def run_pages(diagram: PeriodicDiagram, X, sector: int | None = None,
-              bic: OrbitResolutionBicomplex | None = None) -> list[SSPage]:
+              bic: OrbitResolutionBicomplex | None = None,
+              slices: dict[int, _FilteredSlice] | None = None) -> list[SSPage]:
     """Pages E_1 .. E_infinity of the orbit-resolution filtration over Q.
 
     With a sector d | n (n = 2 only, and X an orbit), the filtration is first
     projected onto its Phi_d-isotypic part: the invariant or anti-invariant part.
+    `slices`, j -> `filtered_slice` of `bic`, are used as given, and
+    otherwise built here: `verify` builds them in its check pass.
     """
     bic = bic or build_filtration(diagram, X)
     if sector is not None:
@@ -399,7 +415,8 @@ def run_pages(diagram: PeriodicDiagram, X, sector: int | None = None,
             raise ValidationError("sectors are defined for rotation order 2")
         if not bic.is_invariant():
             raise ValidationError("sector projection needs an invariant X")
-    slices = _build_slices(bic, sector)
+    if slices is None:
+        slices = _build_slices(bic, sector)
     L = len(bic.X)
     pages = []
     for r in list(range(1, L + 2)) + [L + 2]:

@@ -4,7 +4,8 @@ Dense views of sparse matrices, the product of integer polynomials, the
 mirror of a graded group, equivariant groups compared over a window, the
 chain-level tiling of the orbit-resolution filtration, and references for
 the isotypic projection: the full-row product, the eigenlattices of a
-signed permutation walked cycle by cycle, and the slice on them.
+signed permutation walked cycle by cycle, and the slice on them; and a
+reference for the action check, comparing d(psi x) with psi(d x) as vectors.
 """
 
 from pkh.complexes import GradedAbGroup, build_complex
@@ -137,3 +138,32 @@ def isotypic_parts(sl, n: int, diffs: dict[int, SparseIntMatrix]):
         if n % d == 0:
             yield d, isotypic_complex(sl.dims, sl.psi, diffs.get, d)[1]
             yield d, isotypic_complex(red.dims, red.psi.get, red.diffs.get, d)[1]
+
+
+def reference_action_failure(sl, diffs, n: int):
+    """The first failure of psi^n = 1 or psi d = d psi on one slice, or None,
+    with d(psi x) and psi(d x) summed into vectors, column by column."""
+    for i, basis in sl.basis.items():
+        psi = sl.psi(i)
+        for k in range(len(basis)):
+            cur, sign = k, 1
+            for _ in range(n):
+                cur, s = psi[cur]
+                sign *= s
+            if cur != k or sign != 1:
+                return "psi_order", (i, sl.j, k)
+        d = diffs.get(i)
+        if d is not None:
+            psi_t = sl.psi(i + 1)
+            for k in range(len(basis)):
+                img, sg = psi[k]
+                lhs = {}  # d(psi x)
+                for r in d.cols.get(img, ()):
+                    lhs[r] = lhs.get(r, 0) + sg * d.rows[r][img]
+                rhs = {}  # psi(d x)
+                for r in d.cols.get(k, ()):
+                    tr, ts = psi_t[r]
+                    rhs[tr] = rhs.get(tr, 0) + ts * d.rows[r][k]
+                if {a: b for a, b in lhs.items() if b} != {a: b for a, b in rhs.items() if b}:
+                    return "psi_commutes", (i, sl.j, k)
+    return None

@@ -1,9 +1,12 @@
+from collections import Counter
+
 from pkh import corpus
-from pkh.action import (chain_module_decomposition, fixed_state_sign, s_exponent,
-                        verify_module_structure)
+from pkh.action import (_action_failure, chain_module_decomposition, fixed_state_sign,
+                        s_exponent, verify_module_structure)
 from pkh.complexes import build_complex
 from pkh.oracles import qdim_M
 from pkh.polynomials import LaurentPoly
+from helpers import reference_action_failure
 
 
 class TestGeneratorAction:
@@ -54,6 +57,42 @@ class TestGeneratorAction:
         assert verify_module_structure(d) == {
             "ok": False, "composes": True, "acts": False,
             "check": "psi_order", "witness": (min(sl.basis), -3, 0)}
+
+    def test_entrywise_check_matches_the_vector_reference(self):
+        """Same check and witness as comparing d(psi x) with psi(d x) as
+        vectors, with psi's sign flipped at one generator, or at one and its
+        image, which keeps psi^n = 1 on a longer cycle; or with one entry of
+        d raised by 1, which adds, removes or changes an entry."""
+        seen = Counter()
+        for name in ("hopf", "t3_2", "t4_2", "borromean_n3", "unknot2_n2"):
+            # a diagram of its own: psi is rewritten on its slices
+            cx = build_complex(corpus.build(name))
+            n = cx.D.n
+            for j in cx.quantum_range():
+                sl = cx.slice(j)
+                diffs = sl.to_free_complex().diffs
+                for i in sl.basis:
+                    psi = sl.psi(i)
+                    for k in range(0, len(psi), max(1, len(psi) // 4)):
+                        for flip in ({k}, {k, psi[k][0]}):
+                            sl._psi[i] = [(e, -s if x in flip else s)
+                                          for x, (e, s) in enumerate(psi)]
+                            got = _action_failure(sl, diffs, n)
+                            assert got == reference_action_failure(sl, diffs, n), \
+                                (name, j, i, flip)
+                            seen[got and got[0]] += 1
+                    sl._psi[i] = psi
+                for i, d in diffs.items():
+                    for k in range(0, d.ncols, max(1, d.ncols // 3)):
+                        for r in (0, d.nrows - 1):
+                            d.add(r, k, 1)
+                            got = _action_failure(sl, diffs, n)
+                            assert got == reference_action_failure(sl, diffs, n), \
+                                (name, j, i, r, k)
+                            seen[got and got[0]] += 1
+                            d.add(r, k, -1)
+                assert _action_failure(sl, diffs, n) is None, (name, j)
+        assert seen["psi_order"] and seen["psi_commutes"]
 
 
 class TestFixedStateSign:

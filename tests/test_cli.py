@@ -23,6 +23,15 @@ def corpus_dir(tmp_path_factory):
     return d
 
 
+def child_env():
+    """The environment of a child that imports the same pkh as this process,
+    however it was found."""
+    path = [str(Path(pkh.__file__).resolve().parent.parent)]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -124,6 +133,11 @@ class TestCommands:
             assert code == 1, (name, d)
             assert len(err) == 1 and err[0].startswith("error: "), (name, d, err)
 
+    def test_ss_without_a_crossing_says_so(self, capsys, corpus_dir):
+        code, err = run_cli_err(capsys, "ss", str(corpus_dir / "unknot0.json"))
+        assert code == 1
+        assert err == ["error: the diagram has no crossing to resolve"]
+
     def test_verify_ok(self, capsys, corpus_dir):
         for name in ("hopf", "unknot2_n2", "trivial_p3_k1_f1", "borromean_n3"):
             code, out = run_cli(capsys, "verify", str(corpus_dir / f"{name}.json"))
@@ -172,15 +186,22 @@ class TestCommands:
         assert code == 0
         assert "free" in out and "torsion" in out
 
+    def test_table_format_starts_each_list_item_with_a_dash(self, capsys, corpus_dir):
+        code, out = run_cli(capsys, "verify", str(corpus_dir / "hopf.json"),
+                            "--format", "table")
+        assert code == 0
+        names = ["differential_squares_to_zero", "action_is_chain_automorphism",
+                 "euler_characteristic_matches_homology", "idempotents_sum_to_one",
+                 "spectral_sequence_abuts"]
+        want = ["checks:"]
+        for name in names:
+            want += [f"  - name: {name}", "    pass: yes"]
+        assert out.splitlines() == want + ["ok: yes"]
+
     def test_console_entry_point(self, corpus_dir):
-        # the child imports the same pkh as this process, however it was found
-        path = [str(Path(pkh.__file__).resolve().parent.parent)]
-        if os.environ.get("PYTHONPATH"):
-            path.append(os.environ["PYTHONPATH"])
         proc = subprocess.run(
             [sys.executable, "-m", "pkh.cli", "poly", str(corpus_dir / "hopf.json")],
-            capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["polynomial"] == "1 + q^2 + t^2*q^4 + t^2*q^6"
 
@@ -251,6 +272,39 @@ class TestVerifyReport:
         checks = self.checks(capsys, corpus_dir)
         assert not checks["differential_squares_to_zero"]["pass"]
         assert checks["action_is_chain_automorphism"]["detail"] == self.DETAIL
+
+    def test_a_psi_that_is_not_injective_fails_the_action(self, capsys, corpus_dir,
+                                                          monkeypatch):
+        # psi sends generators 2 and 3 of slice j = 5, degree 2, to one place.
+        # The entrywise psi d = d psi check on degree 1 reads psi there as a
+        # bijection and passes; psi^n = 1 on degree 2 is what fails.
+        build_psi = SliceComplex._build_psi
+        j, i, _ = self.PSI_AT
+
+        def merged(sl, deg):
+            table = build_psi(sl, deg)
+            if (sl.j, deg) == (j, i):
+                table[2] = table[3]
+            return table
+
+        monkeypatch.setattr(SliceComplex, "_build_psi", merged)
+        checks = self.checks(capsys, corpus_dir)
+        assert checks["differential_squares_to_zero"]["pass"]
+        action = checks["action_is_chain_automorphism"]
+        assert not action["pass"] and action["detail"]["check"] == "psi_order"
+
+
+@pytest.mark.slow
+def test_verify_on_the_largest_diagram_peaks_within_250_mb(corpus_dir):
+    """`verify t8_2` (14 crossings, chain rank 366,852) in a child of its
+    own: ru_maxrss at most 250 MB."""
+    child = subprocess.Popen(
+        [sys.executable, "-m", "pkh.cli", "verify", str(corpus_dir / "t8_2.json")],
+        stdout=subprocess.DEVNULL, env=child_env())
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0
+    assert usage.ru_maxrss / 1024 <= 250
 
 
 def run_cli_err(capsys, *argv):

@@ -1,4 +1,5 @@
 import random
+import weakref
 from collections import Counter
 from itertools import combinations
 
@@ -398,16 +399,16 @@ class TestDegreeSweep:
             total = sum(nnz for per_slice in built.values() for nnz in per_slice.values())
             assert total < full, name
 
-    def test_verify_builds_each_differential_twice_in_full(self, monkeypatch, tmp_path):
-        """`verify` builds each d_i in full for its check pass and for the
-        pages, and once more for the sweep, on the survivors only."""
+    @staticmethod
+    def assert_builds_once_in_full(command, monkeypatch, tmp_path):
+        """`command` builds each d_i once in full and once on the survivors."""
         builds = recorded_builds(monkeypatch)
         for name in ("t4_2", "t5_2"):
             D = corpus.build(name)
             path = tmp_path / f"{name}.json"
             path.write_text(D.to_json())
             builds.clear()
-            assert main(["verify", str(path)]) == 0, name
+            assert main([command, str(path)]) == 0, name
             cx = build_complex(D)
             steps = {(j, i) for j in cx.quantum_range() for i in cx.slice(j).dims
                      if i + 1 in cx.slice(j).dims}
@@ -418,10 +419,47 @@ class TestDegreeSweep:
                 else:
                     swept[(j, i)] += 1
                     assert cols <= set(range(cx.slice(j).dim(i))), (name, j, i)
-            assert full == dict.fromkeys(steps, 2), name
+            assert full == dict.fromkeys(steps, 1), name
             assert swept == dict.fromkeys(steps, 1), name
             assert sum(nnz for _, _, cols, nnz in builds if cols is not None) < \
-                sum(nnz for _, _, cols, nnz in builds if cols is None) // 2, name
+                sum(nnz for _, _, cols, nnz in builds if cols is None), name
+
+    def test_verify_builds_each_differential_once_in_full(self, monkeypatch, tmp_path):
+        """`verify`'s checks and pages share one full build of each d_i; the
+        sweep behind its homology builds d_i again on the survivors only."""
+        self.assert_builds_once_in_full("verify", monkeypatch, tmp_path)
+
+    def test_ss_builds_each_differential_once_in_full(self, monkeypatch, tmp_path):
+        """`ss` builds each d_i in full for its pages and on the survivors for
+        the homology its abutment check compares with."""
+        self.assert_builds_once_in_full("ss", monkeypatch, tmp_path)
+
+    def test_verify_drops_each_slice_before_the_next(self, monkeypatch, tmp_path):
+        """No full d_i of slice j is alive when the first of the next slice is built."""
+        build = SliceComplex.build_diff
+        refs, slices = [], []
+
+        class Tracked(SparseIntMatrix):
+            __slots__ = ("__weakref__",)
+
+        def tracked(sl, i, leads=None):
+            m = build(sl, i, leads)
+            if leads is not None:
+                return m
+            if not slices or slices[-1] != sl.j:
+                assert all(ref() is None for ref in refs), (slices, sl.j, i)
+                slices.append(sl.j)
+            out = Tracked(m.nrows, m.ncols)
+            out.rows, out.cols = m.rows, m.cols
+            refs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(SliceComplex, "build_diff", tracked)
+        path = tmp_path / "t4_2.json"
+        path.write_text(corpus.build("t4_2").to_json())
+        assert main(["verify", str(path)]) == 0
+        assert len(slices) > 1
+        assert all(ref() is None for ref in refs)
 
 
 class TestHomology:
