@@ -85,9 +85,9 @@ def _action_failure(sl, diffs, n: int) -> tuple[str, tuple[int, int, int]] | Non
     i + 1; where it is not, psi^n = 1 fails there, so `acts` is false
     either way.
     """
-    for i, basis in sl.basis.items():
+    for i, rank in sl.dims.items():
         psi = sl.psi(i)
-        for k in range(len(basis)):
+        for k in range(rank):
             cur, sign = k, 1
             for _ in range(n):
                 cur, s = psi[cur]
@@ -98,7 +98,7 @@ def _action_failure(sl, diffs, n: int) -> tuple[str, tuple[int, int, int]] | Non
         if d is not None:
             psi_t = sl.psi(i + 1)
             rows, cols = d.rows, d.cols
-            for k in range(len(basis)):
+            for k in range(rank):
                 img, sg = psi[k]
                 col = cols.get(k, ())
                 if len(col) != len(cols.get(img, ())):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .action import verify_module_structure
@@ -278,7 +279,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader is gone; what is left goes to devnull, so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed before all output was written",
+              file=sys.stderr)
+        return IO_EXIT
     except _IOFail as exc:
         print(f"error: {exc}", file=sys.stderr)
         return IO_EXIT

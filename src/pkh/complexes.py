@@ -8,18 +8,24 @@ j = (p - q) + r + n_plus - 2 n_minus.  Differential signs follow the
 right-counting convention: flipping crossing c contributes
 (-1)^(number of 1-smoothed crossings after c in copy-major order).
 
-The differential is assembled from one record per edge of the cube of
-smoothings (target smoothing, sign, merge or split, circle transport),
-so per labelling only the X bits are carried across.  Each diagram has
-one complex, kept on the diagram by `build_complex`.  Its slices keep their
-bases and the rotation's tables but no differential: every d_i is built
-afresh for the caller that asks, who owns it.  A slice's isotypic parts are
-`homalg.isotypic_complex` of its `psi` and `diff`.
+The differential is assembled from a few bytes per edge of the cube of
+smoothings: the crossing, merge or split, and the circles at the crossing.
+Circles are in canonical order (ascending least arc id), and the circles
+away from the crossing keep their arcs, so their indices only shift: a
+merge of circles a < b lands at a and every circle above b moves down one;
+a split of a gives a and p, and every circle from p up moves up one.  A
+labelling is carried across an edge by two mask operations.  Each diagram
+has one complex, kept on the diagram by `build_complex`.  Its slices keep
+their smoothings per degree, with offsets and ranks, and the rotation's
+tables but no differential: every d_i is built afresh for the caller that
+asks, who owns it.  A slice's isotypic parts are `homalg.isotypic_complex`
+of its `psi` and `diff`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
@@ -40,24 +46,6 @@ def edge_sign(diagram: PeriodicDiagram, state, crossing: int) -> int:
 def _edge_sign(bits: int, crossing: int) -> int:
     later = bits >> (crossing + 1)
     return -1 if later.bit_count() & 1 else 1
-
-
-class EdgeRecord(NamedTuple):
-    """The edge of the cube of smoothings that flips one crossing 0 -> 1.
-
-    Circle bits are `1 << k` for circle k in the canonical order of
-    `PeriodicDiagram.state_data`.  The differential needs nothing else about
-    an edge, so this is worked out once per edge, not once per labelling of
-    the source state.
-    """
-
-    tbits: int      # target smoothing
-    sign: int       # edge_sign of the source state at the crossing
-    merge: bool     # two circles merge into one; otherwise one splits in two
-    src: int        # bits of the source circle(s) at the crossing
-    t1: int         # bit of the (lower) target circle at the crossing
-    t2: int         # bit of the upper target circle of a split; 0 for a merge
-    transport: tuple[int, ...]  # per source circle: its target bit, 0 at the crossing
 
 
 class Labellings(NamedTuple):
@@ -102,7 +90,7 @@ class DiagramComplex:
     """Lazy j-sliced Khovanov complex of one diagram.
 
     Shared by its slices: the smoothings sorted once into (weight, circle
-    count) buckets, and the outgoing edges of each smoothing.
+    count) buckets, and the outgoing edges of each smoothing as bytes.
     """
 
     def __init__(self, diagram: PeriodicDiagram):
@@ -112,9 +100,7 @@ class DiagramComplex:
         self._slices: dict[int, "SliceComplex"] = {}
         self._homology: dict[str, GradedAbGroup] = {}  # ring -> khovanov_homology
         self._buckets: dict[tuple[int, int], list[int]] | None = None
-        self._edges: dict[int, tuple[EdgeRecord, ...]] = {}
-        # interned: a diagram has few distinct transports, and many edges
-        self._transports: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._edges: dict[int, bytes] = {}
         self._labellings: dict[tuple[int, int], Labellings] = {}
 
     def buckets(self) -> dict[tuple[int, int], list[int]]:
@@ -150,33 +136,33 @@ class DiagramComplex:
             self._labellings[(nc, x)] = lab
         return lab
 
-    def edges(self, bits: int) -> tuple[EdgeRecord, ...]:
-        """Records of the edges out of a smoothing, by ascending crossing."""
-        recs = self._edges.get(bits)
-        if recs is None:
-            recs = self._edges[bits] = self._edge_records(bits)
-        return recs
+    def edges(self, bits: int) -> bytes:
+        """The edges out of a smoothing, by ascending crossing, 4 bytes each.
 
-    def _edge_records(self, bits: int) -> tuple[EdgeRecord, ...]:
+        An edge is (crossing c, merge flag, a, b): a merge of circles a < b,
+        or a split of circle a into a and b, b the index of the new circle
+        in the target.  The crossing byte needs `MAX_CROSSINGS` <= 256.
+        """
+        table = self._edges.get(bits)
+        if table is None:
+            table = self._edges[bits] = self._edge_table(bits)
+        return table
+
+    def _edge_table(self, bits: int) -> bytes:
         D = self.D
-        sd = D.state_data(bits)
-        out = []
+        circ = D.state_data(bits).circ_of_arc
+        out = bytearray()
         for c, arcs in enumerate(D.crossing_arcs):
             if (bits >> c) & 1:
                 continue
-            tbits = bits | (1 << c)
-            td = D.state_data(tbits)
-            s_at = sorted({sd.circ_of_arc[a] for a in arcs})
-            t_at = sorted({td.circ_of_arc[a] for a in arcs})
-            if len(s_at) + len(t_at) != 3:
-                raise InvariantError("smoothing change must merge or split circles")
-            transport = tuple(0 if k in s_at else 1 << td.circ_of_arc[sd.rep_arcs[k]]
-                              for k in range(sd.n_circ))
-            transport = self._transports.setdefault(transport, transport)
-            t2 = 1 << t_at[1] if len(t_at) == 2 else 0
-            out.append(EdgeRecord(tbits, _edge_sign(bits, c), len(s_at) == 2,
-                                  sum(1 << k for k in s_at), 1 << t_at[0], t2, transport))
-        return tuple(out)
+            tcirc = D.state_data(bits | (1 << c)).circ_of_arc
+            s_at = sorted({circ[a] for a in arcs})
+            t_at = sorted({tcirc[a] for a in arcs})
+            if len(s_at) + len(t_at) != 3 or s_at[0] != t_at[0]:
+                raise InvariantError("smoothing change must merge or split circles, "
+                                     "keeping the lower circle's index")
+            out.extend((c, 1, *s_at) if len(s_at) == 2 else (c, 0, *t_at))
+        return bytes(out)
 
     def slice(self, j: int) -> "SliceComplex":
         sl = self._slices.get(j)
@@ -188,9 +174,8 @@ class DiagramComplex:
     def dims(self) -> dict[tuple[int, int], int]:
         out = {}
         for j in self.quantum_range():
-            for i, basis in self.slice(j).basis.items():
-                if basis:
-                    out[(i, j)] = len(basis)
+            for i, rank in self.slice(j).dims.items():
+                out[(i, j)] = rank
         return out
 
 
@@ -198,8 +183,10 @@ class SliceComplex:
     """All degrees of the complex in one quantum degree j.
 
     Within a degree the basis runs over smoothings by ascending bits, and
-    within a smoothing over its labellings in `Labellings` order; `blocks`
-    records, per degree, each smoothing with its circle and X counts.
+    within a smoothing over its labellings in `Labellings` order.  A slice
+    keeps, per degree, each smoothing with its circle and X counts
+    (`blocks`), the index of its first generator and the rank; `basis`
+    lists the generators themselves and is built only when read.
     """
 
     def __init__(self, parent: DiagramComplex, j: int):
@@ -212,31 +199,44 @@ class SliceComplex:
             if twice % 2 or not 0 <= twice // 2 <= nc:
                 continue
             by_weight.setdefault(r, []).extend((bits, nc, twice // 2) for bits in states)
-        basis: dict[int, list[tuple[int, int]]] = {}
         blocks: dict[int, list[tuple[int, int, int]]] = {}
         offsets: dict[int, dict[int, int]] = {}
+        ranks: dict[int, int] = {}
         # degrees in the order a scan of ascending bits meets them
         for r, blk in sorted(by_weight.items(), key=lambda item: min(item[1])):
             blk.sort()
             i = r + parent.shift_i
-            lvl = basis[i] = []
             offsets[i] = off = {}
+            rank = 0
             for bits, nc, x in blk:
-                off[bits] = len(lvl)
-                lvl.extend([(bits, m) for m in parent.labellings(nc, x).masks])
+                off[bits] = rank
+                rank += len(parent.labellings(nc, x).masks)
             blocks[i] = blk
-        self.basis = basis
+            ranks[i] = rank
         self.blocks = blocks
         self._offsets = offsets
+        self._ranks = ranks
         self._psi: dict[int, list[tuple[int, int]]] = {}
 
+    @cached_property
+    def basis(self) -> dict[int, list[tuple[int, int]]]:
+        """Per degree, the generators as (smoothing bits, X-label mask), in order."""
+        lab = self.parent.labellings
+        return {i: [(bits, m) for bits, nc, x in blk for m in lab(nc, x).masks]
+                for i, blk in self.blocks.items()}
+
+    def smoothings(self, i: int) -> list[tuple[int, int]]:
+        """(smoothing bits, its generator count) per smoothing of degree i, in basis order."""
+        lab = self.parent.labellings
+        return [(bits, len(lab(nc, x).masks)) for bits, nc, x in self.blocks.get(i, ())]
+
     def dim(self, i: int) -> int:
-        return len(self.basis.get(i, ()))
+        return self._ranks.get(i, 0)
 
     @property
     def dims(self) -> dict[int, int]:
         """The nonzero ranks, by degree."""
-        return {i: len(b) for i, b in self.basis.items() if b}
+        return dict(self._ranks)
 
     def diff(self, i: int) -> SparseIntMatrix:
         """d_i on every column, built afresh: the caller owns the matrix."""
@@ -258,39 +258,42 @@ class SliceComplex:
         row_of: dict[int, dict[int, int]] = {}
         col = 0
         for bits, nc, x in self.blocks.get(i, ()):
-            lab = cx.labellings(nc, x)
-            if leads is not None and not any(c in leads for c in range(col, col + len(lab.masks))):
-                col += len(lab.masks)
+            masks = cx.labellings(nc, x).masks
+            if leads is not None and not any(c in leads for c in range(col, col + len(masks))):
+                col += len(masks)
                 continue
             out = []
-            for tbits, sign, merge, src, t1, t2, tr in cx.edges(bits):
+            edges = iter(cx.edges(bits))
+            for c, merge, a, b in zip(edges, edges, edges, edges):
                 if merge and x == nc:
                     continue  # every labelling multiplies X.X = 0
+                tbits = bits | (1 << c)
                 row_t = row_of.get(tbits)
                 if row_t is None:
                     tlab = cx.labellings(nc - 1, x) if merge else cx.labellings(nc + 1, x + 1)
                     off = tgt_off[tbits]
                     row_t = row_of[tbits] = {mask: off + k for mask, k in tlab.rank.items()}
-                out.append((row_t, sign, merge, src, t1, t2, tr))
-            for xmask, xcircles in zip(lab.masks, lab.circles):
+                sign = -1 if (bits >> (c + 1)).bit_count() & 1 else 1  # _edge_sign, inline
+                # the source circles, and the circles from b up, whose index shifts
+                src = (1 << a) | (1 << b) if merge else 1 << a
+                out.append((row_t, sign, merge, src, -1 << b, 1 << a, 1 << b))
+            for xmask in masks:
                 if leads is not None and col not in leads:
                     col += 1
                     continue
                 # the entries of one column never collide, so write them directly
                 hit = set()
-                for row_t, sign, merge, src, t1, t2, tr in out:
-                    base = 0
-                    for k in xcircles:
-                        base |= tr[k]
+                for row_t, sign, merge, src, high, ta, tb in out:
                     xs = xmask & src
+                    rest = xmask ^ xs  # the X circles away from the crossing
                     if merge:
                         if xs == src:
                             continue  # X.X = 0
-                        targets = (base | t1,) if xs else (base,)
-                    elif xs:
-                        targets = (base | t1 | t2,)
+                        base = rest - ((rest & high) >> 1)  # those above b move down one
+                        targets = (base | ta,) if xs else (base,)
                     else:
-                        targets = (base | t1, base | t2)
+                        base = rest + (rest & high)  # those from b up move up one
+                        targets = (base | ta | tb,) if xs else (base | ta, base | tb)
                     for tmask in targets:
                         r = row_t[tmask]
                         row = rows.get(r)
@@ -373,7 +376,7 @@ def khovanov_homology(diagram: PeriodicDiagram, ring: str = "Z") -> GradedAbGrou
         out: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
         for j in cx.quantum_range():
             sl = cx.slice(j)
-            if not sl.basis:
+            if not sl.blocks:
                 continue
             hom = reduce_unit_pivots(sl).homology(ring=ring, prereduce=False)
             for i, grp in hom.items():

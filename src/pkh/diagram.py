@@ -23,6 +23,7 @@ MAX_CROSSINGS = 16
 # n times the tangle's arc count (at least one), checked before the n copies
 # are glued: gluing 10^6 copies of one arc takes 8 s, and `pkh verify` works
 # in Q[t]/(t^n - 1), which at n = 1020 takes 23 s.  The corpus reaches 44.
+# Arc ids and circle indices are stored in bytes, so this cannot exceed 256.
 MAX_ARC_PIECES = 256
 # The chain rank, the sum over smoothings of 2^circles, checked when the
 # smoothings are first enumerated.  t8_2 has rank 366,852; a crossingless
@@ -128,6 +129,12 @@ class FullArc:
 
 
 class _StateData:
+    """One smoothing: circle index per arc id, circle count, least arc per circle.
+
+    Circles are in canonical order, by ascending least arc id; both tables
+    are bytes, as `MAX_ARC_PIECES` bounds every arc id and circle index.
+    """
+
     __slots__ = ("circ_of_arc", "n_circ", "rep_arcs")
 
     def __init__(self, circ_of_arc, n_circ, rep_arcs):
@@ -283,8 +290,8 @@ class PeriodicDiagram:
                     parent[max(rx, ry)] = min(rx, ry)
         roots = sorted({find(a) for a in range(na)})
         index = {r: k for k, r in enumerate(roots)}
-        circ_of_arc = tuple(index[find(a)] for a in range(na))
-        return _StateData(circ_of_arc, len(roots), tuple(roots))
+        circ_of_arc = bytes([index[find(a)] for a in range(na)])
+        return _StateData(circ_of_arc, len(roots), bytes(roots))
 
     def circles(self, bits: int) -> tuple[frozenset[int], ...]:
         """Circles of a smoothing as arc-id sets, in canonical order."""

@@ -157,7 +157,7 @@ def equivariant_reduce(sl: SliceComplex, n: int) -> EquivariantSlice:
     """
     cached = getattr(sl, "_eq_reduced", None)
     if cached is None:
-        dims = {i: len(basis) for i, basis in sl.basis.items() if basis}
+        dims = sl.dims
         psi = {i: sl.psi(i) for i in dims}
         red = OrbitCancellingComplex(dims, psi, n, sl.build_diff)
         red.reduce(red.free_pivot)
@@ -223,7 +223,7 @@ def ext_groups(diagram: PeriodicDiagram, d: int, window: int | None = None) -> E
     out: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for j in cx.quantum_range():
         sl = cx.slice(j)
-        if not sl.basis:
+        if not sl.blocks:
             continue
         red = equivariant_reduce(sl, n)
         if not red.dims:
@@ -442,7 +442,7 @@ def _isotypic_slices(diagram: PeriodicDiagram, d: int):
     cx = build_complex(diagram)
     for j in cx.quantum_range():
         sl = cx.slice(j)
-        if sl.basis:
+        if sl.blocks:
             red = equivariant_reduce(sl, diagram.n)
             yield j, isotypic_complex(red.dims, red.psi.get, red.diffs.get, d)[1]
 

@@ -372,8 +372,16 @@ def filtered_slice(bic: OrbitResolutionBicomplex, sl, fc) -> _FilteredSlice | No
     """
     if not fc.dims:
         return None
-    levels = {i: [bic.level(b) for b, _ in sl.basis[i]] for i in fc.dims}
+    levels = {i: _levels(bic, sl, i) for i in fc.dims}
     return _FilteredSlice(fc.dims, levels, fc.diffs, len(bic.X))
+
+
+def _levels(bic: OrbitResolutionBicomplex, sl, i: int) -> list[int]:
+    """The level of each degree-i generator of `sl`: one per smoothing block."""
+    out = []
+    for bits, size in sl.smoothings(i):
+        out += [bic.level(bits)] * size
+    return out
 
 
 def _build_slices(bic: OrbitResolutionBicomplex, sector: int | None):
@@ -384,13 +392,16 @@ def _build_slices(bic: OrbitResolutionBicomplex, sector: int | None):
     slices = {}
     for j in cx.quantum_range():
         sl = cx.slice(j)
-        if not sl.basis:
+        if not sl.blocks:
             continue
         if sector is None:
             fs = filtered_slice(bic, sl, sl.to_free_complex())
         else:
             gens, fc = isotypic_complex(sl.dims, sl.psi, sl.diff, sector)
-            levels = {i: [bic.level(sl.basis[i][min(v)][0]) for v in gens[i]] for i in fc.dims}
+            levels = {}
+            for i in fc.dims:
+                full = _levels(bic, sl, i)
+                levels[i] = [full[min(v)] for v in gens[i]]
             fs = _FilteredSlice(fc.dims, levels, fc.diffs, len(bic.X)) if fc.dims else None
         if fs is not None:
             slices[j] = fs

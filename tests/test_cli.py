@@ -294,17 +294,39 @@ class TestVerifyReport:
         assert not action["pass"] and action["detail"]["check"] == "psi_order"
 
 
-@pytest.mark.slow
-def test_verify_on_the_largest_diagram_peaks_within_250_mb(corpus_dir):
-    """`verify t8_2` (14 crossings, chain rank 366,852) in a child of its
-    own: ru_maxrss at most 250 MB."""
-    child = subprocess.Popen(
-        [sys.executable, "-m", "pkh.cli", "verify", str(corpus_dir / "t8_2.json")],
-        stdout=subprocess.DEVNULL, env=child_env())
+def child_peak_mb(*argv) -> float:
+    """ru_maxrss in MB of `pkh ARGV...` run in a child of its own, which must exit 0."""
+    child = subprocess.Popen([sys.executable, "-m", "pkh.cli", *argv],
+                             stdout=subprocess.DEVNULL, env=child_env())
     _, status, usage = os.wait4(child.pid, 0)
     child.returncode = os.waitstatus_to_exitcode(status)
-    assert child.returncode == 0
-    assert usage.ru_maxrss / 1024 <= 250
+    assert child.returncode == 0, argv
+    return usage.ru_maxrss / 1024
+
+
+@pytest.mark.slow
+def test_verify_on_the_largest_diagram_peaks_within_250_mb(corpus_dir):
+    """`verify t8_2` (14 crossings, chain rank 366,852): at most 250 MB."""
+    assert child_peak_mb("verify", str(corpus_dir / "t8_2.json")) <= 250
+
+
+@pytest.mark.slow
+def test_kh_on_the_largest_diagram_peaks_within_80_mb(corpus_dir):
+    """`kh t8_2`: at most 80 MB, with the state-sum tables held as bytes."""
+    assert child_peak_mb("kh", str(corpus_dir / "t8_2.json")) <= 80
+
+
+def test_closed_stdout_exits_3_with_one_line():
+    """A reader that stops early gets exit code 3 and one stderr line, not a
+    traceback: the 131 kB of output cannot all fit in the pipe."""
+    child = subprocess.Popen([sys.executable, "-m", "pkh.cli", "oracle", "torus", "--n", "4096"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    assert child.stdout.read(10) == b'{"khp": "q'
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait() == 3
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 def run_cli_err(capsys, *argv):
@@ -460,6 +482,13 @@ class TestSizeGuards:
         code, out = run_cli(capsys, "kh", self.write_spec(
             tmp_path, corpus.trivial_link(MAX_ARC_PIECES, 0, 1)))
         assert code == 0 and json.loads(out)["groups"]
+
+    def test_limits_fit_the_byte_tables(self):
+        # a smoothing stores arc ids and circle indices in bytes, and an edge
+        # of `DiagramComplex.edges` its crossing: raising a limit past a byte
+        # must fail here, not in `bytes()` at run time
+        assert MAX_ARC_PIECES <= 256
+        assert MAX_CROSSINGS <= 256
 
     def test_limits_admit_every_corpus_diagram(self):
         for name, spec in corpus.corpus_specs().items():

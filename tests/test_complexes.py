@@ -133,10 +133,17 @@ def reference_basis(cx, j):
     return basis
 
 
-def reference_diff(D, src, tgt_index):
-    """The differential worked out afresh for every enhanced state."""
+def reference_diff(D, src, tgt_index, leads=None):
+    """The differential worked out afresh for every enhanced state.
+
+    Each circle away from the crossing is carried to the target circle of
+    its least arc (`rep_arcs`), with no use of the canonical order.  With
+    `leads`, only those columns are filled.
+    """
     m = SparseIntMatrix(len(tgt_index), len(src))
     for col, (bits, xmask) in enumerate(src):
+        if leads is not None and col not in leads:
+            continue
         sd = D.state_data(bits)
         for c in range(D.ncross):
             if (bits >> c) & 1:
@@ -169,6 +176,16 @@ def reference_diff(D, src, tgt_index):
     return m
 
 
+def assert_same_matrix(got, want, where):
+    """Equal shape and entries, with rows and columns inserted in the same order."""
+    assert (got.nrows, got.ncols) == (want.nrows, want.ncols), where
+    assert got.nnz == want.nnz, where
+    assert [(r, list(row.items())) for r, row in got.rows.items()] == \
+        [(r, list(row.items())) for r, row in want.rows.items()], where
+    assert [(c, list(col)) for c, col in got.cols.items()] == \
+        [(c, list(col)) for c, col in want.cols.items()], where
+
+
 class TestEdgeTables:
     """The per-edge, bucketed builder against a per-enhanced-state rescan."""
 
@@ -191,15 +208,33 @@ class TestEdgeTables:
                     if i + 1 not in ref:
                         continue
                     tgt_index = {be: k for k, be in enumerate(ref[i + 1])}
-                    want = reference_diff(D, src, tgt_index)
-                    got = sl.diff(i)
-                    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
-                    assert got.nnz == want.nnz, (name, j, i)
-                    # same entries, inserted in the same order
-                    assert [(r, list(row.items())) for r, row in got.rows.items()] == \
-                        [(r, list(row.items())) for r, row in want.rows.items()], (name, j, i)
-                    assert [(c, list(col)) for c, col in got.cols.items()] == \
-                        [(c, list(col)) for c, col in want.cols.items()], (name, j, i)
+                    assert_same_matrix(sl.diff(i), reference_diff(D, src, tgt_index),
+                                       (name, j, i))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_shift_rule_on_generated_closures(self, n):
+        """Full builds and builds on a seeded random column subset, on every
+        n = 3 and n = 4 closure of the move tests; every full build composes."""
+        for word, strands in closures(n):
+            D = diagram_from_dict(corpus.braid_tangle(word, strands, n))
+            cx = build_complex(D)
+            rng = random.Random(f"{n}-{strands}-{word}")
+            for j in cx.quantum_range():
+                sl = cx.slice(j)
+                ref = reference_basis(cx, j)
+                assert list(sl.basis.items()) == list(ref.items()), (word, j)
+                diffs = {}
+                for i, src in ref.items():
+                    if i + 1 not in ref:
+                        continue
+                    where = (n, strands, word, j, i)
+                    tgt_index = {be: k for k, be in enumerate(ref[i + 1])}
+                    diffs[i] = sl.build_diff(i)
+                    assert_same_matrix(diffs[i], reference_diff(D, src, tgt_index), where)
+                    leads = {c for c in range(len(src)) if rng.random() < 0.3}
+                    assert_same_matrix(sl.build_diff(i, leads),
+                                       reference_diff(D, src, tgt_index, leads), where)
+                FreeComplex(sl.dims, diffs).check_composes()
 
     def test_diff_builds_a_fresh_matrix(self):
         """Two `diff(i)` calls give two matrices; changing one spares the next."""
