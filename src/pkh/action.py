@@ -83,10 +83,12 @@ def _action_failure(sl, diffs, n: int) -> tuple[str, tuple[int, int, int]] | Non
     sg * ts * d[r][k] for every entry d[r][k], where psi(k) carries sign sg
     and psi(r) sign ts.  That is exact while psi is a bijection on degree
     i + 1; where it is not, psi^n = 1 fails there, so `acts` is false
-    either way.
+    either way.  Each degree's psi is built once: the table of degree i + 1
+    is carried from degree i to the next.
     """
+    ahead: dict[int, list[tuple[int, int]]] = {}  # psi of degree i + 1, from degree i
     for i, rank in sl.dims.items():
-        psi = sl.psi(i)
+        psi = ahead.pop(i, None) or sl.psi(i)
         for k in range(rank):
             cur, sign = k, 1
             for _ in range(n):
@@ -96,7 +98,7 @@ def _action_failure(sl, diffs, n: int) -> tuple[str, tuple[int, int, int]] | Non
                 return "psi_order", (i, sl.j, k)
         d = diffs.get(i)
         if d is not None:
-            psi_t = sl.psi(i + 1)
+            psi_t = ahead[i + 1] = sl.psi(i + 1)
             rows, cols = d.rows, d.cols
             for k in range(rank):
                 img, sg = psi[k]

@@ -16,17 +16,17 @@ merge of circles a < b lands at a and every circle above b moves down one;
 a split of a gives a and p, and every circle from p up moves up one.  A
 labelling is carried across an edge by two mask operations.  Each diagram
 has one complex, kept on the diagram by `build_complex`.  Its slices keep
-their smoothings per degree, with offsets and ranks, and the rotation's
-tables but no differential: every d_i is built afresh for the caller that
-asks, who owns it.  A slice's isotypic parts are `homalg.isotypic_complex`
-of its `psi` and `diff`.
+only their smoothings per degree, with circle counts and ranks: every d_i
+and every table of the rotation is built afresh for the caller that asks,
+who owns it.  A slice's isotypic parts are `homalg.isotypic_complex` of its
+`psi` and `diff`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
+from math import comb
 from typing import NamedTuple
 
 from .diagram import MAX_RANK, PeriodicDiagram, _as_state
@@ -51,9 +51,8 @@ def _edge_sign(bits: int, crossing: int) -> int:
 class Labellings(NamedTuple):
     """The labellings of `nc` circles with exactly `x` of them X, in basis order."""
 
-    masks: tuple[int, ...]                # X-labelled circles as a bit mask
-    circles: tuple[tuple[int, ...], ...]  # the same circles as indices
-    rank: dict[int, int]                  # mask -> its position in `masks`
+    masks: tuple[int, ...]  # X-labelled circles as a bit mask
+    rank: dict[int, int]    # mask -> its position in `masks`
 
 
 @dataclass(frozen=True)
@@ -130,9 +129,8 @@ class DiagramComplex:
     def labellings(self, nc: int, x: int) -> Labellings:
         lab = self._labellings.get((nc, x))
         if lab is None:
-            circles = tuple(combinations(range(nc), x))
-            masks = tuple(sum(1 << k for k in combo) for combo in circles)
-            lab = Labellings(masks, circles, {m: k for k, m in enumerate(masks)})
+            masks = tuple(sum(1 << k for k in combo) for combo in combinations(range(nc), x))
+            lab = Labellings(masks, {m: k for k, m in enumerate(masks)})
             self._labellings[(nc, x)] = lab
         return lab
 
@@ -184,51 +182,60 @@ class SliceComplex:
 
     Within a degree the basis runs over smoothings by ascending bits, and
     within a smoothing over its labellings in `Labellings` order.  A slice
-    keeps, per degree, each smoothing with its circle and X counts
-    (`blocks`), the index of its first generator and the rank; `basis`
-    lists the generators themselves and is built only when read.
+    keeps, per degree, only the bits of its smoothings, their circle counts
+    and its rank; a smoothing's X count follows from its circle count, its
+    weight and j.  The generators, d_i and psi are built afresh for the
+    caller that asks, who owns them.
     """
 
     def __init__(self, parent: DiagramComplex, j: int):
         self.parent = parent
         self.j = j
-        by_weight: dict[int, list[tuple[int, int, int]]] = {}
+        self.reduced = None  # `equivariant_reduce`'s result, which it keeps here
+        by_weight: dict[int, list[tuple[list[int], int]]] = {}
         for (r, nc), states in parent.buckets().items():
             # number of X labels forced by the quantum degree
             twice = nc + r + parent.shift_j - j
             if twice % 2 or not 0 <= twice // 2 <= nc:
                 continue
-            by_weight.setdefault(r, []).extend((bits, nc, twice // 2) for bits in states)
-        blocks: dict[int, list[tuple[int, int, int]]] = {}
-        offsets: dict[int, dict[int, int]] = {}
-        ranks: dict[int, int] = {}
+            by_weight.setdefault(r, []).append((states, comb(nc, twice // 2)))
+        state_data = parent.D.state_data
+        self._states: dict[int, tuple[list[int], bytes]] = {}
+        self._ranks: dict[int, int] = {}
         # degrees in the order a scan of ascending bits meets them
-        for r, blk in sorted(by_weight.items(), key=lambda item: min(item[1])):
-            blk.sort()
+        for r, parts in sorted(by_weight.items(), key=lambda item: min(s[0] for s, _ in item[1])):
             i = r + parent.shift_i
-            offsets[i] = off = {}
-            rank = 0
-            for bits, nc, x in blk:
-                off[bits] = rank
-                rank += len(parent.labellings(nc, x).masks)
-            blocks[i] = blk
-            ranks[i] = rank
-        self.blocks = blocks
-        self._offsets = offsets
-        self._ranks = ranks
-        self._psi: dict[int, list[tuple[int, int]]] = {}
+            # a lone bucket is shared as it is: ascending, and never changed
+            states = parts[0][0] if len(parts) == 1 else sorted(b for s, _ in parts for b in s)
+            self._states[i] = (states, bytes(state_data(bits).n_circ for bits in states))
+            self._ranks[i] = sum(len(s) * size for s, size in parts)
 
-    @cached_property
+    def _smoothings(self, i: int):
+        """(bits, circle count, X count) per smoothing of degree i, in basis order."""
+        cx = self.parent
+        states, ncs = self._states.get(i, ((), b""))
+        twice = i - cx.shift_i + cx.shift_j - self.j
+        for bits, nc in zip(states, ncs):
+            yield bits, nc, (nc + twice) >> 1
+
+    def _starts(self, i: int) -> dict[int, int]:
+        """The index of each degree-i smoothing's first generator, built afresh."""
+        out, k = {}, 0
+        for bits, nc, x in self._smoothings(i):
+            out[bits] = k
+            k += comb(nc, x)
+        return out
+
+    @property
     def basis(self) -> dict[int, list[tuple[int, int]]]:
         """Per degree, the generators as (smoothing bits, X-label mask), in order."""
         lab = self.parent.labellings
-        return {i: [(bits, m) for bits, nc, x in blk for m in lab(nc, x).masks]
-                for i, blk in self.blocks.items()}
+        return {i: [(bits, m) for bits, nc, x in self._smoothings(i) for m in lab(nc, x).masks]
+                for i in self._ranks}
 
     def smoothings(self, i: int) -> list[tuple[int, int]]:
         """(smoothing bits, its generator count) per smoothing of degree i, in basis order."""
-        lab = self.parent.labellings
-        return [(bits, len(lab(nc, x).masks)) for bits, nc, x in self.blocks.get(i, ())]
+        return [(bits, comb(nc, x)) for bits, nc, x in self._smoothings(i)]
 
     def dim(self, i: int) -> int:
         return self._ranks.get(i, 0)
@@ -251,13 +258,13 @@ class SliceComplex:
         d_{i-1} in the sweep of `reduce_unit_pivots`.
         """
         cx = self.parent
-        tgt_off = self._offsets.get(i + 1, {})
+        tgt_off = self._starts(i + 1)
         m = SparseIntMatrix(self.dim(i + 1), self.dim(i))
         rows, cols = m.rows, m.cols
         # target smoothing -> labelling mask -> row; one int object per row
         row_of: dict[int, dict[int, int]] = {}
         col = 0
-        for bits, nc, x in self.blocks.get(i, ()):
+        for bits, nc, x in self._smoothings(i):
             masks = cx.labellings(nc, x).masks
             if leads is not None and not any(c in leads for c in range(col, col + len(masks))):
                 col += len(masks)
@@ -308,33 +315,30 @@ class SliceComplex:
         return m
 
     def psi(self, i: int) -> list[tuple[int, int]]:
-        """Generator action as a signed permutation: index -> (index, sign)."""
-        p = self._psi.get(i)
-        if p is None:
-            p = self._build_psi(i)
-            self._psi[i] = p
-        return p
-
-    def _build_psi(self, i: int) -> list[tuple[int, int]]:
+        """Generator action on degree i as a signed permutation, index -> (index,
+        sign), built afresh: the caller owns the table."""
         cx = self.parent
         D = cx.D
-        offsets = self._offsets.get(i, {})
+        offsets = self._starts(i)
         base_sign = -1 if ((D.n - 1) * D.tangle.n_minus) & 1 else 1
         out = []
-        for bits, nc, x in self.blocks.get(i, ()):
-            sd = D.state_data(bits)
+        for bits, nc, x in self._smoothings(i):
             tbits = D.rotate_state(bits)
-            td = D.state_data(tbits)
+            circ = D.state_data(tbits).circ_of_arc
             r = bits.bit_count()
             r0 = (bits & ((1 << D.ncross_t) - 1)).bit_count()
             sign = base_sign * (-1 if (r0 * (r - r0)) & 1 else 1)
-            moved = [1 << td.circ_of_arc[D.inv_rot_arc[sd.rep_arcs[k]]] for k in range(nc)]
+            # circle k's bit -> its image's bit
+            moved = {1 << k: 1 << circ[D.inv_rot_arc[a]]
+                     for k, a in enumerate(D.state_data(bits).rep_arcs)}
             off = offsets[tbits]
             lab = cx.labellings(nc, x)
-            for xcircles in lab.circles:
+            for xmask in lab.masks:
                 tmask = 0
-                for k in xcircles:
-                    tmask |= moved[k]
+                while xmask:
+                    low = xmask & -xmask
+                    tmask |= moved[low]
+                    xmask ^= low
                 out.append((off + lab.rank[tmask], sign))
         return out
 
@@ -376,7 +380,7 @@ def khovanov_homology(diagram: PeriodicDiagram, ring: str = "Z") -> GradedAbGrou
         out: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
         for j in cx.quantum_range():
             sl = cx.slice(j)
-            if not sl.blocks:
+            if not sl.dims:
                 continue
             hom = reduce_unit_pivots(sl).homology(ring=ring, prereduce=False)
             for i, grp in hom.items():

@@ -148,14 +148,14 @@ class EquivariantSlice:
 
 
 def equivariant_reduce(sl: SliceComplex, n: int) -> EquivariantSlice:
-    """Cancel free orbits over the group ring; the result is cached on sl.
+    """Cancel free orbits over the group ring; the result is kept on sl.
 
     d is built on the orbit-lead columns only, and `OrbitCancellingComplex`
     cancels a pair of free orbits through a unit d[t][s] on a lead s when t
     is the only member of its orbit in column s.  Survivors are whole orbits
     of the slice, expanded back to the full basis, so its psi carries over.
     """
-    cached = getattr(sl, "_eq_reduced", None)
+    cached = sl.reduced
     if cached is None:
         dims = sl.dims
         psi = {i: sl.psi(i) for i in dims}
@@ -166,7 +166,7 @@ def equivariant_reduce(sl: SliceComplex, n: int) -> EquivariantSlice:
         for i in dims:
             p, rm = psi[i], remap[i]
             out_psi[i] = [(rm[p[e][0]], p[e][1]) for e in rm]
-        cached = sl._eq_reduced = EquivariantSlice(dims, diffs, out_psi)
+        cached = sl.reduced = EquivariantSlice(dims, diffs, out_psi)
     return cached
 
 
@@ -223,7 +223,7 @@ def ext_groups(diagram: PeriodicDiagram, d: int, window: int | None = None) -> E
     out: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for j in cx.quantum_range():
         sl = cx.slice(j)
-        if not sl.blocks:
+        if not sl.dims:
             continue
         red = equivariant_reduce(sl, n)
         if not red.dims:
@@ -442,7 +442,7 @@ def _isotypic_slices(diagram: PeriodicDiagram, d: int):
     cx = build_complex(diagram)
     for j in cx.quantum_range():
         sl = cx.slice(j)
-        if sl.blocks:
+        if sl.dims:
             red = equivariant_reduce(sl, diagram.n)
             yield j, isotypic_complex(red.dims, red.psi.get, red.diffs.get, d)[1]
 

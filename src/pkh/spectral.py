@@ -392,7 +392,7 @@ def _build_slices(bic: OrbitResolutionBicomplex, sector: int | None):
     slices = {}
     for j in cx.quantum_range():
         sl = cx.slice(j)
-        if not sl.blocks:
+        if not sl.dims:
             continue
         if sector is None:
             fs = filtered_slice(bic, sl, sl.to_free_complex())
@@ -466,26 +466,6 @@ def e1_oracle(bic: OrbitResolutionBicomplex) -> dict[tuple[int, int, int], int]:
                 key = (p, i + c, j + p + 3 * c + L)
                 out[key] = out.get(key, 0) + free
     return out
-
-
-def e1_page(diagram: PeriodicDiagram, X) -> SSPage:
-    """First page of the filtration, checked against the resolved homologies."""
-    bic = build_filtration(diagram, X)
-    page = run_pages(diagram, X, bic=bic)[0]
-    want = e1_oracle(bic)
-    if page.entries != want:
-        raise InvariantError("E_1 entries disagree with the resolved homologies")
-    return page
-
-
-def equivariant_e1_2periodic(diagram: PeriodicDiagram, X, sector: int) -> SSPage:
-    """Sector-projected first page for a 2-periodic diagram, X one orbit."""
-    if diagram.n != 2:
-        raise ValidationError("defined for rotation order 2")
-    X = tuple(X)
-    if set(X) != set(crossing_orbit(diagram, X[0])) or len(X) != 2:
-        raise ValidationError("X must be a single crossing orbit")
-    return run_pages(diagram, X, sector=sector)[0]
 
 
 def einf_abutment_ok(diagram: PeriodicDiagram, X, pages=None) -> bool:

@@ -3,10 +3,15 @@ from collections import Counter
 from pkh import corpus
 from pkh.action import (_action_failure, chain_module_decomposition, fixed_state_sign,
                         s_exponent, verify_module_structure)
-from pkh.complexes import build_complex
+from pkh.complexes import SliceComplex, build_complex
 from pkh.oracles import qdim_M
 from pkh.polynomials import LaurentPoly
 from helpers import reference_action_failure
+
+
+def with_psi(sl, i, table):
+    """Make `sl.psi(i)` return `table`, and psi of every other degree what it would."""
+    sl.psi = lambda deg: table if deg == i else SliceComplex.psi(sl, deg)
 
 
 class TestGeneratorAction:
@@ -34,16 +39,24 @@ class TestGeneratorAction:
                      "trivial_p4_k1_f2"):
             assert verify_module_structure(diagrams(name))["ok"]
 
+    def test_psi_is_built_afresh_for_each_caller(self, complexes):
+        cx = complexes("borromean_n3")
+        for j in cx.quantum_range():
+            sl = cx.slice(j)
+            for i in sl.dims:
+                first, second = sl.psi(i), sl.psi(i)
+                assert first == second and first is not second
+
     def test_corrupted_sign_is_detected(self):
         # a diagram of its own: the corruption must not reach the shared complex
         d = corpus.build("hopf")
         cx = build_complex(d)
         sl = cx.slice(4)
-        i = min(sl.basis)
-        table = list(sl.psi(i))
+        i = min(sl.dims)
+        table = sl.psi(i)
         k, sign = table[0]
         table[0] = (k, -sign)
-        sl._psi[i] = table
+        with_psi(sl, i, table)
         report = verify_module_structure(d)
         assert not report["ok"]
         assert report["witness"] is not None
@@ -52,11 +65,10 @@ class TestGeneratorAction:
         # -psi on a whole slice still commutes with d, but has order 6 when n = 3
         d = corpus.build("borromean_n3")
         sl = build_complex(d).slice(-3)
-        for i in sl.basis:
-            sl._psi[i] = [(k, -s) for k, s in sl.psi(i)]
+        sl.psi = lambda deg: [(k, -s) for k, s in SliceComplex.psi(sl, deg)]
         assert verify_module_structure(d) == {
             "ok": False, "composes": True, "acts": False,
-            "check": "psi_order", "witness": (min(sl.basis), -3, 0)}
+            "check": "psi_order", "witness": (min(sl.dims), -3, 0)}
 
     def test_entrywise_check_matches_the_vector_reference(self):
         """Same check and witness as comparing d(psi x) with psi(d x) as
@@ -71,17 +83,17 @@ class TestGeneratorAction:
             for j in cx.quantum_range():
                 sl = cx.slice(j)
                 diffs = sl.to_free_complex().diffs
-                for i in sl.basis:
+                for i in sl.dims:
                     psi = sl.psi(i)
                     for k in range(0, len(psi), max(1, len(psi) // 4)):
                         for flip in ({k}, {k, psi[k][0]}):
-                            sl._psi[i] = [(e, -s if x in flip else s)
-                                          for x, (e, s) in enumerate(psi)]
+                            with_psi(sl, i, [(e, -s if x in flip else s)
+                                             for x, (e, s) in enumerate(psi)])
                             got = _action_failure(sl, diffs, n)
                             assert got == reference_action_failure(sl, diffs, n), \
                                 (name, j, i, flip)
                             seen[got and got[0]] += 1
-                    sl._psi[i] = psi
+                    del sl.psi  # the class's psi again
                 for i, d in diffs.items():
                     for k in range(0, d.ncols, max(1, d.ncols // 3)):
                         for r in (0, d.nrows - 1):

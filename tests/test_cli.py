@@ -220,11 +220,11 @@ class TestVerifyReport:
 
     @staticmethod
     def corrupt(monkeypatch, diff_at=None):
-        build_psi, build_diff = SliceComplex._build_psi, SliceComplex.build_diff
+        psi, build_diff = SliceComplex.psi, SliceComplex.build_diff
         j, i, k = TestVerifyReport.PSI_AT
 
         def bad_psi(sl, deg):
-            table = build_psi(sl, deg)
+            table = psi(sl, deg)
             if (sl.j, deg) == (j, i):
                 table[k] = (table[k][0], -table[k][1])
             return table
@@ -235,7 +235,7 @@ class TestVerifyReport:
                 m.add(diff_at[2], 0, 1)
             return m
 
-        monkeypatch.setattr(SliceComplex, "_build_psi", bad_psi)
+        monkeypatch.setattr(SliceComplex, "psi", bad_psi)
         if diff_at is not None:
             monkeypatch.setattr(SliceComplex, "build_diff", bad_diff)
 
@@ -255,10 +255,10 @@ class TestVerifyReport:
     def test_wrong_order_is_named_in_the_detail(self, capsys, corpus_dir, monkeypatch):
         # -psi on the whole slice j = -3 of borromean_n3 commutes with d, but
         # has order 6 where n = 3: the first failure is the slice's first generator
-        build_psi = SliceComplex._build_psi
-        monkeypatch.setattr(SliceComplex, "_build_psi", lambda sl, deg: [
-            (k, -s if sl.j == -3 else s) for k, s in build_psi(sl, deg)])
-        low = min(build_complex(corpus.build("borromean_n3")).slice(-3).basis)
+        psi = SliceComplex.psi
+        monkeypatch.setattr(SliceComplex, "psi", lambda sl, deg: [
+            (k, -s if sl.j == -3 else s) for k, s in psi(sl, deg)])
+        low = min(build_complex(corpus.build("borromean_n3")).slice(-3).dims)
         checks = self.checks(capsys, corpus_dir, "borromean_n3")
         assert checks["differential_squares_to_zero"]["pass"]
         assert checks["action_is_chain_automorphism"]["detail"] == {
@@ -278,16 +278,16 @@ class TestVerifyReport:
         # psi sends generators 2 and 3 of slice j = 5, degree 2, to one place.
         # The entrywise psi d = d psi check on degree 1 reads psi there as a
         # bijection and passes; psi^n = 1 on degree 2 is what fails.
-        build_psi = SliceComplex._build_psi
+        psi = SliceComplex.psi
         j, i, _ = self.PSI_AT
 
         def merged(sl, deg):
-            table = build_psi(sl, deg)
+            table = psi(sl, deg)
             if (sl.j, deg) == (j, i):
                 table[2] = table[3]
             return table
 
-        monkeypatch.setattr(SliceComplex, "_build_psi", merged)
+        monkeypatch.setattr(SliceComplex, "psi", merged)
         checks = self.checks(capsys, corpus_dir)
         assert checks["differential_squares_to_zero"]["pass"]
         action = checks["action_is_chain_automorphism"]
@@ -314,6 +314,47 @@ def test_verify_on_the_largest_diagram_peaks_within_250_mb(corpus_dir):
 def test_kh_on_the_largest_diagram_peaks_within_80_mb(corpus_dir):
     """`kh t8_2`: at most 80 MB, with the state-sum tables held as bytes."""
     assert child_peak_mb("kh", str(corpus_dir / "t8_2.json")) <= 80
+
+
+@pytest.mark.slow
+def test_ekh_on_the_largest_diagram_peaks_within_245_mb(corpus_dir):
+    """`ekh t8_2 --d 2`: at most 245 MB, with no table of psi kept on a slice."""
+    assert child_peak_mb("ekh", str(corpus_dir / "t8_2.json"), "--d", "2") <= 245
+
+
+def test_kh_leaves_at_most_2_5_mb_allocated(corpus_dir):
+    """After `kh t7_2` returns, at most 2.5 MB of what it allocated is still
+    held: a slice keeps its smoothings, not a table per smoothing or generator."""
+    code = ("import sys, tracemalloc\n"
+            "from pkh import cli\n"
+            "tracemalloc.start()\n"
+            "cli.main(sys.argv[1:])\n"
+            "print(tracemalloc.get_traced_memory()[0], file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code, "kh", str(corpus_dir / "t7_2.json")],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr) <= 2_500_000
+
+
+TRACED = Path(__file__).resolve().parent.parent / "khbench" / "traced.py"
+
+
+@pytest.mark.parametrize("argv", [("kh", "trefoil"), ("ekh", "borromean_n3", "--d", "3"),
+                                  ("verify", "borromean_n3")])
+def test_the_benchmark_tracer_finds_every_layer(argv, corpus_dir, tmp_path):
+    """`khbench/traced.py` wraps its layers by name, and reads a layer it
+    cannot find as 0: none may be missing, and tracing leaves stdout as it is."""
+    cmd, name, *rest = argv
+    args = [cmd, str(corpus_dir / f"{name}.json"), *rest]
+    report = tmp_path / "trace.json"
+    traced = subprocess.run([sys.executable, str(TRACED), str(report), *args],
+                            capture_output=True, text=True, env=child_env())
+    plain = subprocess.run([sys.executable, "-m", "pkh.cli", *args],
+                           capture_output=True, text=True, env=child_env())
+    assert traced.returncode == plain.returncode == 0, traced.stderr
+    assert json.loads(report.read_text())["missing"] == []
+    assert traced.stdout == plain.stdout
 
 
 def test_closed_stdout_exits_3_with_one_line():

@@ -464,6 +464,27 @@ class TestDegreeSweep:
         sweep behind its homology builds d_i again on the survivors only."""
         self.assert_builds_once_in_full("verify", monkeypatch, tmp_path)
 
+    def test_verify_builds_each_psi_once(self, monkeypatch, tmp_path):
+        """`verify` builds psi once per degree of each slice: the table of
+        degree i + 1 that its check of d_i reads is carried to degree i + 1."""
+        built = Counter()
+        psi = SliceComplex.psi
+
+        def counted(sl, i):
+            built[(sl.j, i)] += 1
+            return psi(sl, i)
+
+        monkeypatch.setattr(SliceComplex, "psi", counted)
+        for name in ("t4_2", "t5_2"):
+            D = corpus.build(name)
+            path = tmp_path / f"{name}.json"
+            path.write_text(D.to_json())
+            built.clear()
+            assert main(["verify", str(path)]) == 0, name
+            cx = build_complex(D)
+            degrees = {(j, i) for j in cx.quantum_range() for i in cx.slice(j).dims}
+            assert built == dict.fromkeys(degrees, 1), name
+
     def test_ss_builds_each_differential_once_in_full(self, monkeypatch, tmp_path):
         """`ss` builds each d_i in full for its pages and on the survivors for
         the homology its abutment check compares with."""

@@ -4,8 +4,7 @@ from pkh import corpus, spectral
 from pkh.complexes import khovanov_homology, khovanov_polynomial
 from pkh.errors import ValidationError
 from pkh.homalg import SparseIntMatrix
-from pkh.spectral import (build_filtration, crossing_orbit, e1_oracle, e1_page,
-                          einf_abutment_ok, equivariant_e1_2periodic,
+from pkh.spectral import (build_filtration, crossing_orbit, e1_oracle, einf_abutment_ok,
                           resolve_diagram, run_pages)
 from helpers import resolutions_tile
 
@@ -100,21 +99,22 @@ class TestPages:
 
     def test_single_crossing_cone(self, diagrams):
         d = diagrams("trefoil")
-        page = e1_page(d, (0,))
+        page = run_pages(d, (0,))[0]
         assert page.entries == e1_oracle(build_filtration(d, (0,)))
         assert einf_abutment_ok(d, (0,))
 
     def test_hopf_full_orbit(self, diagrams):
         d = diagrams("hopf")
         X = crossing_orbit(d, 0)
-        page = e1_page(d, X)
+        pages = run_pages(d, X)
+        page = pages[0]
+        assert page.entries == e1_oracle(build_filtration(d, X))
         cols = {}
         for (p, q, j), dim in page.entries.items():
             cols.setdefault(p, {})[j] = dim
         assert cols[0] == {0: 1, 2: 2, 4: 1}
         assert cols[1] == {2: 2, 4: 2}
         assert cols[2] == {2: 1, 4: 2, 6: 1}
-        pages = run_pages(d, X)
         assert pages[1].total_dims() == pages[-1].total_dims()
         assert einf_abutment_ok(d, X, pages)
 
@@ -198,7 +198,7 @@ class TestEquivariantPages:
         full = run_pages(d, X)[0].entries
         total = {}
         for sector in (1, 2):
-            for k, v in equivariant_e1_2periodic(d, X, sector).entries.items():
+            for k, v in run_pages(d, X, sector=sector)[0].entries.items():
                 total[k] = total.get(k, 0) + v
         assert total == full
 
@@ -229,8 +229,8 @@ class TestEquivariantPages:
                 run_pages(d, crossing_orbit(d, 0), sector=sector)
 
     def test_sector_requires_orbit(self, diagrams):
-        with pytest.raises(ValidationError):
-            equivariant_e1_2periodic(diagrams("t4_2"), (0, 1), 2)
+        with pytest.raises(ValidationError, match="invariant X"):
+            run_pages(diagrams("t4_2"), (0, 1), sector=2)
 
 
 def reference_filtered_reduce(dims, levels, mats):
