@@ -370,23 +370,26 @@ def khovanov_homology(diagram: PeriodicDiagram, ring: str = "Z") -> GradedAbGrou
 
     Each slice is handed to `reduce_unit_pivots` itself, which sweeps its
     degrees upwards and builds each d_i only on the generators that
-    survived d_{i-1}.
+    survived d_{i-1}.  That sweep runs once per diagram, for the integral
+    groups; the rational groups are their free parts.
     """
     if ring not in ("Z", "Q"):
         raise ValidationError("ring must be 'Z' or 'Q'")
     cx = build_complex(diagram)
-    groups = cx._homology.get(ring)
-    if groups is None:
+    cache = cx._homology
+    if "Z" not in cache:
         out: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
         for j in cx.quantum_range():
             sl = cx.slice(j)
             if not sl.dims:
                 continue
-            hom = reduce_unit_pivots(sl).homology(ring=ring, prereduce=False)
-            for i, grp in hom.items():
+            for i, grp in reduce_unit_pivots(sl).homology(prereduce=False).items():
                 out[(i, j)] = grp
-        groups = cx._homology[ring] = GradedAbGroup.from_dict(out)
-    return groups
+        cache["Z"] = GradedAbGroup.from_dict(out)
+    if ring not in cache:
+        cache[ring] = GradedAbGroup.from_dict(
+            {k: (free, ()) for k, (free, _) in cache["Z"].groups})
+    return cache[ring]
 
 
 def khovanov_polynomial(diagram: PeriodicDiagram) -> BiPolynomial:

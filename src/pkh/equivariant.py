@@ -45,7 +45,7 @@ from .diagram import PeriodicDiagram
 from .errors import InvariantError, ValidationError
 from .homalg import (FreeComplex, OrbitCancellingComplex, SparseIntMatrix, cofactor,
                      cyclotomic, eval_group_ring, isotypic_complex, orbits, poly_divmod)
-from .oracles import MAX_WINDOW, euler_phi
+from .oracles import MAX_WINDOW
 from .polynomials import BiPolynomial
 
 # ---------------------------------------------------------------------------
@@ -455,13 +455,17 @@ def rational_equivariant(diagram: PeriodicDiagram, d: int) -> dict:
     """Dimensions of the Phi_d-isotypic part of rational Khovanov homology.
 
     Returns {'dim_q': {(i, j): dim over Q}, 'dim_cyc': {(i, j): dim over the
-    cyclotomic field}}; the former is always divisible by phi(d).
+    cyclotomic field}}; the former is always divisible by phi(d).  A
+    dimension is the free rank of the integral isotypic group; degrees with
+    torsion only are left out.
     """
     _check_divisor(diagram.n, d)
-    phi_d = euler_phi(d)
+    phi_d = len(cyclotomic(d)) - 1
     dims: dict[tuple[int, int], int] = {}
     for j, fc in _isotypic_slices(diagram, d):
-        for i, (h, _) in fc.homology(ring="Q").items():
+        for i, (h, _) in fc.homology().items():
+            if not h:
+                continue
             if h % phi_d:
                 raise InvariantError("isotypic dimension not divisible by phi(d)")
             dims[(i, j)] = h

@@ -3,7 +3,9 @@
 Sparse integer matrices with arbitrary-precision entries, Smith normal form
 with growth-aware pivoting, and homology of finite free cochain complexes
 (compressed first by unit-pivot Gaussian cancellation, which preserves
-integral homology exactly).
+integral homology exactly).  Smith form is the only elimination: it gives
+the groups and the ranks, `int_rank` is its rank, and a rational answer is
+the free rank of an integral group.
 
 The group ring acts on a complex through a chain automorphism psi, a signed
 permutation of each basis.  A ring element is a plain coefficient list in
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import InvariantError, ValidationError
+from .errors import InvariantError
 
 # ---------------------------------------------------------------------------
 # sparse integer matrices
@@ -317,37 +319,8 @@ def _enforce_chain(U, V, a):
 
 
 def int_rank(a: SparseIntMatrix) -> int:
-    """Rank over Q, by fraction-free sparse elimination."""
-    m = a.copy()
-    rank = 0
-    while m.rows:
-        r0, c0 = _pick_pivot(m)
-        p = m.rows[r0][c0]
-        prow = dict(m.rows[r0])
-        for r in list(m.cols.get(c0, ())):
-            if r == r0:
-                continue
-            v = m.rows[r][c0]
-            if v % p == 0:
-                _row_op(m, r, r0, v // p)
-            else:
-                row = m.rows[r]
-                for c in list(row.keys()):
-                    row[c] *= p
-                for c, w in prow.items():
-                    m.add(r, c, -v * w)
-                row = m.rows.get(r)
-                if row:
-                    g = 0
-                    for w in row.values():
-                        g = gcd(g, w)
-                    if g > 1:
-                        for c in row:
-                            row[c] //= g
-        for c in list(m.rows.get(r0, {}).keys()):
-            m._drop(r0, c)
-        rank += 1
-    return rank
+    """Rank over Q: the number of invariant factors of the Smith form."""
+    return smith_normal_form(a).rank
 
 
 # ---------------------------------------------------------------------------
@@ -380,35 +353,25 @@ class FreeComplex:
             m = SparseIntMatrix(self.dims.get(i + 1, 0), self.dims.get(i, 0))
         return m
 
-    def homology(self, ring: str = "Z", prereduce: bool = True) -> dict[int, tuple[int, tuple[int, ...]]]:
+    def homology(self, prereduce: bool = True) -> dict[int, tuple[int, tuple[int, ...]]]:
         """Group H^i per degree as (free rank, torsion invariant factors).
 
-        ring 'Z' gives the groups, 'Q' the free ranks only.  The complex is
-        left as it was: the unit reduction works on copies of its matrices.
+        Degrees whose group is zero are omitted; the rational homology is
+        the free rank.  The complex is left as it was: the unit reduction
+        works on copies of its matrices.
         """
-        if ring not in ("Z", "Q"):
-            raise ValidationError("ring must be 'Z' or 'Q'")
         cx = self
         if prereduce:
             copies = {i: m.copy() for i, m in self.diffs.items()}
             cx = reduce_unit_pivots(FreeComplex(self.dims, copies))
+        snf = {i: smith_normal_form(cx.diff(i)) for i in cx.degrees()}
+        zero = SmithForm(())
         out: dict[int, tuple[int, tuple[int, ...]]] = {}
-        ranks: dict[int, int] = {}
-        torsions: dict[int, tuple[int, ...]] = {}
         for i in cx.degrees():
-            d = cx.diff(i)
-            if ring == "Q":
-                ranks[i] = int_rank(d)
-                torsions[i] = ()
-            else:
-                snf = smith_normal_form(d)
-                ranks[i] = snf.rank
-                torsions[i] = snf.nonunit
-        for i in cx.degrees():
-            free = cx.dims[i] - ranks.get(i, 0) - ranks.get(i - 1, 0)
-            tors = torsions.get(i - 1, ())
-            if free or tors:
-                out[i] = (free, tors)
+            below = snf.get(i - 1, zero)
+            free = cx.dims[i] - snf[i].rank - below.rank
+            if free or below.nonunit:
+                out[i] = (free, below.nonunit)
         return out
 
 

@@ -8,21 +8,69 @@ and of the closed-form oracles.
 from __future__ import annotations
 
 
-class LaurentPoly:
-    """Integer Laurent polynomial in the single variable q."""
+class _Polynomial:
+    """Integer polynomial as a dict from exponent key to nonzero coefficient.
+
+    The arithmetic its subclasses share; each names its variables in
+    `_powers`, which maps a key to (variable, exponent) pairs.
+    """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict[int, int] | None = None):
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c != 0}
+    def __init__(self, coeffs: dict | None = None):
+        self.coeffs = {k: c for k, c in (coeffs or {}).items() if c != 0}
+
+    @classmethod
+    def zero(cls):
+        return cls({})
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) + c
+        return type(self)(out)
+
+    def __sub__(self, other):
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) - c
+        return type(self)(out)
+
+    def items(self):
+        return sorted(self.coeffs.items())
+
+    def __str__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for k, c in self.items():
+            parts.append(_term(c, self._powers(k), first=not parts))
+        return "".join(parts)
+
+    __repr__ = __str__
+
+
+class LaurentPoly(_Polynomial):
+    """Integer Laurent polynomial in the single variable q."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _powers(e: int) -> list[tuple[str, int]]:
+        return [("q", e)]
 
     @classmethod
     def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
         return cls({exp: coeff})
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls({})
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -31,27 +79,6 @@ class LaurentPoly:
     @classmethod
     def q_plus_qinv(cls) -> "LaurentPoly":
         return cls({1: 1, -1: 1})
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly(out)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
@@ -96,60 +123,23 @@ class LaurentPoly:
             out[e] = c // m
         return LaurentPoly(out)
 
-    def items(self):
-        return sorted(self.coeffs.items())
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in self.items():
-            parts.append(_term(c, [("q", e)], first=not parts))
-        return "".join(parts)
-
-    __repr__ = __str__
-
-
-class BiPolynomial:
+class BiPolynomial(_Polynomial):
     """Integer polynomial in t and q, both with Laurent exponents."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: dict[tuple[int, int], int] | None = None):
-        self.coeffs = {k: c for k, c in (coeffs or {}).items() if c != 0}
+    @staticmethod
+    def _powers(k: tuple[int, int]) -> list[tuple[str, int]]:
+        return [("t", k[0]), ("q", k[1])]
 
     @classmethod
     def monomial(cls, i: int, j: int, coeff: int = 1) -> "BiPolynomial":
         return cls({(i, j): coeff})
 
     @classmethod
-    def zero(cls) -> "BiPolynomial":
-        return cls({})
-
-    @classmethod
     def from_laurent(cls, p: LaurentPoly, t_exp: int = 0) -> "BiPolynomial":
         return cls({(t_exp, e): c for e, c in p.coeffs.items()})
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BiPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "BiPolynomial") -> "BiPolynomial":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return BiPolynomial(out)
-
-    def __sub__(self, other: "BiPolynomial") -> "BiPolynomial":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) - c
-        return BiPolynomial(out)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -168,19 +158,6 @@ class BiPolynomial:
         for (i, j), c in self.coeffs.items():
             out[j] = out.get(j, 0) + c * (-1) ** (i % 2)
         return LaurentPoly(out)
-
-    def items(self):
-        return sorted(self.coeffs.items())
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (i, j), c in self.items():
-            parts.append(_term(c, [("t", i), ("q", j)], first=not parts))
-        return "".join(parts)
-
-    __repr__ = __str__
 
 
 def _term(coeff: int, vars_exps: list[tuple[str, int]], first: bool) -> str:

@@ -314,7 +314,7 @@ def _filtered_reduce(dims, levels, mats):
                 if not row:
                     continue
                 for s, v in list(row.items()):
-                    if v not in (1, -1) or lv_t[t] != lv_s[s] or mat.get(t, s) != v:
+                    if v not in (1, -1) or lv_t[t] != lv_s[s]:
                         continue
                     red.cancel(m, t, s)
                     progress = True

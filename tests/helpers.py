@@ -1,12 +1,15 @@
 """Helpers the tests share and the package does not use.
 
-Dense views of sparse matrices, the product of integer polynomials, the
-mirror of a graded group, equivariant groups compared over a window, the
-chain-level tiling of the orbit-resolution filtration, and references for
-the isotypic projection: the full-row product, the eigenlattices of a
-signed permutation walked cycle by cycle, and the slice on them; and a
-reference for the action check, comparing d(psi x) with psi(d x) as vectors.
+Dense views of sparse matrices, the rank over Q by dense `Fraction`
+elimination, the product of integer polynomials, the mirror of a graded
+group, equivariant groups compared over a window, the chain-level tiling
+of the orbit-resolution filtration, and references for the isotypic
+projection: the full-row product, the eigenlattices of a signed
+permutation walked cycle by cycle, and the slice on them; and a reference
+for the action check, comparing d(psi x) with psi(d x) as vectors.
 """
+
+from fractions import Fraction
 
 from pkh.complexes import GradedAbGroup, build_complex
 from pkh.equivariant import EquivariantGroups, equivariant_reduce
@@ -28,6 +31,27 @@ def to_dense(m: SparseIntMatrix) -> list[list[int]]:
     for r, c, v in m.entries():
         out[r][c] = v
     return out
+
+
+def fraction_rank(m: SparseIntMatrix) -> int:
+    """Rank over Q by dense Gauss-Jordan elimination with `Fraction` entries.
+
+    Shares no code with the package's elimination, so it is an oracle for it.
+    """
+    rows = [[Fraction(m.get(r, c)) for c in range(m.ncols)] for r in range(m.nrows)]
+    rank = 0
+    for c in range(m.ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c] / rows[rank][c]
+                for k in range(m.ncols):
+                    rows[r][k] -= f * rows[rank][k]
+        rank += 1
+    return rank
 
 
 def transpose(m: SparseIntMatrix) -> SparseIntMatrix:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pkh import corpus
-from pkh.complexes import build_complex
+from pkh.complexes import build_complex, khovanov_homology
 from pkh.equivariant import EquivariantSlice, PeriodicResolution, _totalize, equivariant_reduce
 from pkh.errors import ValidationError
 from pkh.equivariant import rational_equivariant
@@ -12,8 +12,8 @@ from pkh.homalg import (FreeComplex, OrbitCancellingComplex, SparseIntMatrix,
                         isotypic_basis, orbits, project,
                         rational_idempotents, reduce_unit_pivots,
                         smith_normal_form)
-from helpers import (from_dense, isotypic_parts, poly_mul, project_full_rows, to_dense,
-                     transpose)
+from helpers import (fraction_rank, from_dense, isotypic_parts, poly_mul, project_full_rows,
+                     to_dense, transpose)
 
 
 class TestSmithNormalForm:
@@ -119,20 +119,19 @@ class TestHomology:
             dims = list(cx.dims.items())
             diffs = {i: (m, entries_in_order(m), {c: set(col) for c, col in m.cols.items()})
                      for i, m in cx.diffs.items()}
-            for ring in ("Z", "Q"):
-                cx.homology(ring=ring)
-                assert list(cx.dims.items()) == dims
-                assert list(cx.diffs) == list(diffs)
-                for i, (m, entries, cols) in diffs.items():
-                    assert cx.diffs[i] is m
-                    assert entries_in_order(m) == entries, i
-                    assert m.cols == cols, i
+            cx.homology()
+            assert list(cx.dims.items()) == dims
+            assert list(cx.diffs) == list(diffs)
+            for i, (m, entries, cols) in diffs.items():
+                assert cx.diffs[i] is m
+                assert entries_in_order(m) == entries, i
+                assert m.cols == cols, i
 
     def test_homology_rejects_unknown_ring(self):
-        cx = FreeComplex({0: 1, 1: 1}, {0: from_dense([[2]])})
+        D = corpus.build("hopf")
         for ring in ("F2", "z", ""):
             with pytest.raises(ValidationError):
-                cx.homology(ring=ring)
+                khovanov_homology(D, ring)
 
     def test_reduction_preserves_homology(self):
         rng = random.Random(5)
@@ -144,30 +143,12 @@ class TestHomology:
 
     def test_free_ranks_against_dense_kernel_oracle(self):
         # rank-nullity over Q with dense fraction elimination, no shared code
-        from fractions import Fraction
         rng = random.Random(17)
         for _ in range(10):
             cx = _random_complex(rng)
             hom = cx.homology()
             for i, n in cx.dims.items():
-                def dense_rank(m):
-                    rows = [[Fraction(m.get(r, c)) for c in range(m.ncols)]
-                            for r in range(m.nrows)]
-                    rank = 0
-                    for c in range(m.ncols):
-                        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-                        if piv is None:
-                            continue
-                        rows[rank], rows[piv] = rows[piv], rows[rank]
-                        for r in range(len(rows)):
-                            if r != rank and rows[r][c]:
-                                f = rows[r][c] / rows[rank][c]
-                                for k in range(m.ncols):
-                                    rows[r][k] -= f * rows[rank][k]
-                        rank += 1
-                    return rank
-
-                want = n - dense_rank(cx.diff(i)) - dense_rank(cx.diff(i - 1))
+                want = n - fraction_rank(cx.diff(i)) - fraction_rank(cx.diff(i - 1))
                 assert hom.get(i, (0, ()))[0] == want
 
 

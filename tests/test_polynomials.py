@@ -41,3 +41,9 @@ class TestBiPolynomial:
     def test_from_laurent(self):
         q = LaurentPoly.q_plus_qinv()
         assert BiPolynomial.from_laurent(q, 2) == BiPolynomial({(2, 1): 1, (2, -1): 1})
+
+
+def test_the_two_polynomial_types_are_never_equal():
+    assert LaurentPoly.zero() != BiPolynomial.zero()
+    assert LaurentPoly({0: 1}) != BiPolynomial({(0, 0): 1})
+    assert BiPolynomial({(0, 0): 1}) != LaurentPoly({0: 1})
