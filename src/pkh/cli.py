@@ -104,6 +104,8 @@ def cmd_kh(args) -> int:
 
 
 def cmd_ekh(args) -> int:
+    if args.coeffs == "q" and args.window is not None:
+        raise ValidationError("--window applies to --coeffs z only")
     D = _load(args.file)
     if args.coeffs == "q":
         data = rational_equivariant(D, args.d)
@@ -240,7 +242,8 @@ def make_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--d", type=int, required=True, help="cyclotomic index, d | n")
     p.add_argument("--coeffs", choices=("z", "q"), default="z")
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--window", type=int, default=None,
+                   help="last exact Ext degree (--coeffs z only)")
     p.set_defaults(func=cmd_ekh)
 
     p = sub.add_parser("ss", help="orbit-resolution spectral sequence pages")

@@ -1,11 +1,12 @@
 """Exact linear algebra over Z and arithmetic in Z[t]/(t^n - 1).
 
-Sparse integer matrices with arbitrary-precision entries, Smith normal form
-with growth-aware pivoting, and homology of finite free cochain complexes
-(compressed first by unit-pivot Gaussian cancellation, which preserves
-integral homology exactly).  Smith form is the only elimination: it gives
-the groups and the ranks, `int_rank` is its rank, and a rational answer is
-the free rank of an integral group.
+Sparse integer matrices with arbitrary-precision entries, the invariant
+factors of their Smith normal form (growth-aware pivoting; every group is
+read off the factors, so no unimodular change of basis is kept), and
+homology of finite free cochain complexes (compressed first by unit-pivot
+Gaussian cancellation, which preserves integral homology exactly).  Smith
+form is the only elimination: it gives the groups and the ranks, `int_rank`
+is its rank, and a rational answer is the free rank of an integral group.
 
 The group ring acts on a complex through a chain automorphism psi, a signed
 permutation of each basis.  A ring element is a plain coefficient list in
@@ -128,11 +129,9 @@ class SparseIntMatrix:
 
 @dataclass
 class SmithForm:
-    """Diagonal d_1 | d_2 | ... of an integer matrix, with optional U, V."""
+    """Invariant factors d_1 | d_2 | ... of an integer matrix."""
 
     factors: tuple[int, ...]
-    U: list[list[int]] | None = None
-    V: list[list[int]] | None = None
 
     @property
     def rank(self) -> int:
@@ -159,40 +158,30 @@ def _pick_pivot(m: SparseIntMatrix):
     return best
 
 
-def _row_op(m: SparseIntMatrix, dst: int, src: int, q: int, U=None):
-    """row[dst] -= q * row[src]; mirrored on U when tracking transforms."""
+def _row_op(m: SparseIntMatrix, dst: int, src: int, q: int):
+    """row[dst] -= q * row[src]."""
     if not q:
         return
     for c, v in list(m.rows.get(src, {}).items()):
         m.add(dst, c, -q * v)
-    if U is not None:
-        for j in range(len(U[src])):
-            U[dst][j] -= q * U[src][j]
 
 
-def _col_op(m: SparseIntMatrix, dst: int, src: int, q: int, V=None):
-    """col[dst] -= q * col[src]; mirrored on V."""
+def _col_op(m: SparseIntMatrix, dst: int, src: int, q: int):
+    """col[dst] -= q * col[src]."""
     if not q:
         return
     for r in list(m.cols.get(src, ())):
         m.add(r, dst, -q * m.rows[r][src])
-    if V is not None:
-        for i in range(len(V)):
-            V[i][dst] -= q * V[i][src]
 
 
-def smith_normal_form(a: SparseIntMatrix, transforms: bool = False) -> SmithForm:
-    """Smith normal form of an integer matrix.
+def smith_normal_form(a: SparseIntMatrix) -> SmithForm:
+    """Invariant factors of the Smith normal form of an integer matrix.
 
-    Returns the invariant factors d_1 | d_2 | ... (units included, zeros
-    omitted).  With transforms=True also returns unimodular U, V with
-    U a V = diag(factors), padded with zero rows/columns.
+    Returns d_1 | d_2 | ... (units included, zeros omitted); `a` itself is
+    left unchanged.
     """
     m = a.copy()
-    U = [[int(i == j) for j in range(a.nrows)] for i in range(a.nrows)] if transforms else None
-    V = [[int(i == j) for j in range(a.ncols)] for i in range(a.ncols)] if transforms else None
     diag: list[int] = []
-    order: list[tuple[int, int]] = []
     while m.rows:
         r0, c0 = _pick_pivot(m)
         while True:
@@ -202,7 +191,7 @@ def smith_normal_form(a: SparseIntMatrix, transforms: bool = False) -> SmithForm
                 if r == r0:
                     continue
                 v = m.rows[r][c0]
-                _row_op(m, r, r0, v // p, U)
+                _row_op(m, r, r0, v // p)
                 if m.get(r, c0):
                     r0 = r  # remainder is smaller, becomes the pivot
                     moved = True
@@ -213,30 +202,16 @@ def smith_normal_form(a: SparseIntMatrix, transforms: bool = False) -> SmithForm
                 if c == c0:
                     continue
                 v = m.rows[r0][c]
-                _col_op(m, c, c0, v // p, V)
+                _col_op(m, c, c0, v // p)
                 if m.get(r0, c):
                     c0 = c
                     moved = True
                     break
             if not moved:
                 break
-        p = m.rows[r0][c0]
-        if p < 0 and U is not None:
-            for j in range(len(U[r0])):
-                U[r0][j] = -U[r0][j]
-        diag.append(abs(p))
-        order.append((r0, c0))
+        diag.append(abs(m.rows[r0][c0]))
         m._drop(r0, c0)
-    factors = _invariant_chain(diag)
-    if not transforms:
-        return SmithForm(tuple(factors))
-    # Reorder so U a V has the diagonal in factor order, then fix the
-    # divisibility chain with explicit 2x2 moves.
-    U2, V2 = _permute_to_front(U, V, order, a.nrows, a.ncols)
-    _enforce_chain(U2, V2, a)
-    d = _apply(U2, a, V2)
-    facs = tuple(d[i][i] for i in range(min(a.nrows, a.ncols)) if i < len(diag) and d[i][i])
-    return SmithForm(facs, U2, V2)
+    return SmithForm(tuple(_invariant_chain(diag)))
 
 
 def _invariant_chain(diag: list[int]) -> list[int]:
@@ -252,70 +227,6 @@ def _invariant_chain(diag: list[int]) -> list[int]:
                     changed = True
         d.sort()
     return d
-
-
-def _permute_to_front(U, V, order, nr, nc):
-    rperm = [r for r, _ in order] + [r for r in range(nr) if r not in {r for r, _ in order}]
-    cperm = [c for _, c in order] + [c for c in range(nc) if c not in {c for _, c in order}]
-    U2 = [U[r] for r in rperm]
-    V2 = [[V[i][c] for c in cperm] for i in range(nc)]
-    return U2, V2
-
-
-def _apply(U, a: SparseIntMatrix, V):
-    ua = [[sum(U[i][k] * a.get(k, j) for k in a.rows if U[i][k]) for j in range(a.ncols)]
-          for i in range(len(U))]
-    return [[sum(ua[i][k] * V[k][j] for k in range(a.ncols) if ua[i][k]) for j in range(len(V[0]))]
-            for i in range(len(U))]
-
-
-def _enforce_chain(U, V, a):
-    """Make the diagonal of U a V a divisibility chain by 2x2 reductions."""
-    n = min(a.nrows, a.ncols)
-    while True:
-        d = _apply(U, a, V)
-        bad = None
-        for i in range(n):
-            for j in range(i + 1, n):
-                if d[i][i] and d[j][j] and d[j][j] % d[i][i]:
-                    bad = (i, j)
-                    break
-            if bad:
-                break
-        if not bad:
-            for i in range(n):
-                if d[i][i] < 0:
-                    for k in range(len(U[i])):
-                        U[i][k] = -U[i][k]
-            return
-        i, j = bad
-        # col_i += col_j, then clear the 2x2 block Euclid-style
-        for k in range(len(V)):
-            V[k][i] += V[k][j]
-        while True:
-            d = _apply(U, a, V)
-            if d[j][i] == 0 and d[i][j] == 0:
-                if abs(d[i][i]) > abs(d[j][j]) and d[j][j]:
-                    U[i], U[j] = U[j], U[i]
-                    for k in range(len(V)):
-                        V[k][i], V[k][j] = V[k][j], V[k][i]
-                    continue
-                break
-            if d[j][i]:
-                q = d[j][i] // d[i][i]
-                for k in range(len(U[i])):
-                    U[j][k] -= q * U[i][k]
-                d2 = _apply(U, a, V)
-                if d2[j][i]:
-                    U[i], U[j] = U[j], U[i]
-            else:
-                q = d[i][j] // d[i][i]
-                for k in range(len(V)):
-                    V[k][j] -= q * V[k][i]
-                d2 = _apply(U, a, V)
-                if d2[i][j]:
-                    for k in range(len(V)):
-                        V[k][i], V[k][j] = V[k][j], V[k][i]
 
 
 def int_rank(a: SparseIntMatrix) -> int:

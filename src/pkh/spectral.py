@@ -147,7 +147,6 @@ def resolve_diagram(diagram: PeriodicDiagram, alpha: dict[int, int]):
 
     # emit the resolved tangle
     out_crossings = []
-    out_signs = []
     arcs_out = []
     for t, g in enumerate(kept):
         s = D.crossing_slots(g)
@@ -158,7 +157,6 @@ def resolve_diagram(diagram: PeriodicDiagram, alpha: dict[int, int]):
         if not under_in:
             slots = slots[2:] + slots[:2]  # re-root at the other under slot
         out_crossings.append(Crossing(t, tuple(slots)))
-        out_signs.append(base_sign[t] * flips[under_comp[t]] * flips[over_comp[t]])
     for k, (e1, e2) in enumerate(merged):
         forward = (rel[k] == 1) == (flips[comp_index[comp_of[k]]] == 1)
         tail, head = (e1, e2) if forward else (e2, e1)

@@ -1,15 +1,18 @@
 """Helpers the tests share and the package does not use.
 
-Dense views of sparse matrices, the rank over Q by dense `Fraction`
-elimination, the product of integer polynomials, the mirror of a graded
-group, equivariant groups compared over a window, the chain-level tiling
-of the orbit-resolution filtration, and references for the isotypic
-projection: the full-row product, the eigenlattices of a signed
-permutation walked cycle by cycle, and the slice on them; and a reference
-for the action check, comparing d(psi x) with psi(d x) as vectors.
+Dense views of sparse matrices, the rank over Q and the determinant by
+dense `Fraction` elimination, invariant factors from determinantal divisors,
+the product of integer polynomials, the mirror of a graded group,
+equivariant groups compared over a window, the chain-level tiling of the
+orbit-resolution filtration, and references for the isotypic projection:
+the full-row product, the eigenlattices of a signed permutation walked
+cycle by cycle, and the slice on them; and a reference for the action
+check, comparing d(psi x) with psi(d x) as vectors.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from pkh.complexes import GradedAbGroup, build_complex
 from pkh.equivariant import EquivariantGroups, equivariant_reduce
@@ -52,6 +55,51 @@ def fraction_rank(m: SparseIntMatrix) -> int:
                     rows[r][k] -= f * rows[rank][k]
         rank += 1
     return rank
+
+
+def det(m: list[list[int]]) -> Fraction:
+    """Determinant of a square matrix by `Fraction` elimination."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    out = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            out = -out
+        out *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            for k in range(c, n):
+                a[r][k] -= f * a[c][k]
+    return out
+
+
+def determinantal_factors(rows: list[list[int]]) -> tuple[int, ...]:
+    """Invariant factors d_k = D_k / D_(k-1), D_k the gcd of all k x k minors.
+
+    Stops at the first D_k that is zero.  D_(k-1) divides D_k, so the scan
+    of the k x k minors stops once their running gcd reaches D_(k-1).
+    Shares no code with the package's Smith form, so it is an oracle for it.
+    """
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    factors, prev = [], 1
+    for k in range(1, min(nr, nc) + 1):
+        g = 0
+        for rs in combinations(range(nr), k):
+            for cs in combinations(range(nc), k):
+                g = gcd(g, int(det([[rows[r][c] for c in cs] for r in rs])))
+                if g == prev:
+                    break
+            if g == prev:
+                break
+        if not g:
+            break
+        factors.append(g // prev)
+        prev = g
+    return tuple(factors)
 
 
 def transpose(m: SparseIntMatrix) -> SparseIntMatrix:

@@ -87,6 +87,15 @@ class TestCommands:
         assert all(g["torsion"] == [2] for g in odd)
         assert len(odd) == 6
 
+    def test_ekh_window_needs_integral_coefficients(self, capsys, corpus_dir):
+        # the rational isotypic groups have no window, so a window there is refused
+        hopf = str(corpus_dir / "hopf.json")
+        for w in ("6", "999", "-5"):
+            code = main(["ekh", hopf, "--d", "2", "--coeffs", "q", "--window", w])
+            out, err = capsys.readouterr()
+            assert (code, out) == (1, "")
+            assert err == "error: --window applies to --coeffs z only\n"
+
     def test_ekh_rejects_bad_divisor(self, capsys, corpus_dir):
         hopf = str(corpus_dir / "hopf.json")
         cases = [(cmd, hopf, "--d", d) for cmd in ("ekh", "poly") for d in ("3", "0", "-1")]

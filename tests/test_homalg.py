@@ -12,8 +12,8 @@ from pkh.homalg import (FreeComplex, OrbitCancellingComplex, SparseIntMatrix,
                         isotypic_basis, orbits, project,
                         rational_idempotents, reduce_unit_pivots,
                         smith_normal_form)
-from helpers import (fraction_rank, from_dense, isotypic_parts, poly_mul, project_full_rows,
-                     to_dense, transpose)
+from helpers import (determinantal_factors, fraction_rank, from_dense, isotypic_parts, poly_mul,
+                     project_full_rows, to_dense, transpose)
 
 
 class TestSmithNormalForm:
@@ -34,25 +34,26 @@ class TestSmithNormalForm:
             a = from_dense(rows)
             assert smith_normal_form(a).factors == smith_normal_form(transpose(a)).factors
 
-    def test_recompose_uav(self):
+    def test_factors_match_determinantal_divisors(self):
         rng = random.Random(11)
         for _ in range(15):
             nr, nc = rng.randint(1, 8), rng.randint(1, 8)
             rows = [[rng.randint(-6, 6) if rng.random() < 0.4 else 0
                      for _ in range(nc)] for _ in range(nr)]
-            a = from_dense(rows)
-            snf = smith_normal_form(a, transforms=True)
-            d = [[sum(snf.U[i][k] * rows[k][j] for k in range(nr)) for j in range(nc)]
-                 for i in range(nr)]
-            d = [[sum(d[i][k] * snf.V[k][j] for k in range(nc)) for j in range(nc)]
-                 for i in range(nr)]
-            for i in range(nr):
-                for j in range(nc):
-                    want = snf.factors[i] if i == j and i < len(snf.factors) else 0
-                    assert d[i][j] == want
-            # unimodularity
-            assert abs(_det(snf.U)) == 1
-            assert abs(_det(snf.V)) == 1
+            assert smith_normal_form(from_dense(rows)).factors == determinantal_factors(rows)
+        big = 2 ** 64 + 13
+        for rows, want in [
+            ([], ()),
+            ([[], [], []], ()),
+            ([[0, 3, 0, -6, 9]], (3,)),
+            ([[4], [0], [-10], [0], [6]], (2,)),
+            ([[0, 0, 0], [0, 0, 0]], ()),
+            ([[4, 0], [0, 6]], (2, 12)),
+            ([[2 * big, 6], [4, 2 * big]], (2, 2 * (big * big - 6))),
+        ]:
+            a = from_dense(rows) if rows else SparseIntMatrix(0, 3)
+            assert determinantal_factors(rows) == want
+            assert smith_normal_form(a).factors == want
 
     def test_divisibility_chain(self):
         rng = random.Random(3)
@@ -61,26 +62,6 @@ class TestSmithNormalForm:
                      for _ in range(6)] for _ in range(6)]
             f = smith_normal_form(from_dense(rows)).factors
             assert all(b % a == 0 for a, b in zip(f, f[1:]))
-
-
-def _det(m):
-    from fractions import Fraction
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        for r in range(c + 1, n):
-            f = a[r][c] / a[c][c]
-            for k in range(c, n):
-                a[r][k] -= f * a[c][k]
-    return det
 
 
 class TestHomology:
