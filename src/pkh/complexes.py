@@ -249,13 +249,15 @@ class SliceComplex:
         """d_i on every column, built afresh: the caller owns the matrix."""
         return self.build_diff(i)
 
-    def build_diff(self, i: int, leads=None) -> SparseIntMatrix:
+    def build_diff(self, i: int, keep=None) -> SparseIntMatrix:
         """d_i built afresh; the slice keeps no differential.
 
-        With `leads`, a set of column indices, only those columns are
-        filled, and smoothings that hold none of them are skipped: the orbit
-        leads of `equivariant_reduce`, or the generators that survived
-        d_{i-1} in the sweep of `reduce_unit_pivots`.
+        With `keep`, a sequence of flags indexed by column (a bytearray in
+        the package), only the columns c with keep[c] set are filled, and
+        smoothings that hold none of them are skipped: the orbit leads of
+        `equivariant_reduce`, or the generators that survived d_{i-1} in the
+        sweep of `reduce_unit_pivots`.  The mask is indexed, never searched:
+        `c in keep` on a bytearray asks whether the byte value c occurs.
         """
         cx = self.parent
         tgt_off = self._starts(i + 1)
@@ -266,7 +268,7 @@ class SliceComplex:
         col = 0
         for bits, nc, x in self._smoothings(i):
             masks = cx.labellings(nc, x).masks
-            if leads is not None and not any(c in leads for c in range(col, col + len(masks))):
+            if keep is not None and not any(keep[col:col + len(masks)]):
                 col += len(masks)
                 continue
             out = []
@@ -285,11 +287,11 @@ class SliceComplex:
                 src = (1 << a) | (1 << b) if merge else 1 << a
                 out.append((row_t, sign, merge, src, -1 << b, 1 << a, 1 << b))
             for xmask in masks:
-                if leads is not None and col not in leads:
+                if keep is not None and not keep[col]:
                     col += 1
                     continue
                 # the entries of one column never collide, so write them directly
-                hit = set()
+                hit = []
                 for row_t, sign, merge, src, high, ta, tb in out:
                     xs = xmask & src
                     rest = xmask ^ xs  # the X circles away from the crossing
@@ -308,7 +310,7 @@ class SliceComplex:
                             rows[r] = {col: sign}
                         else:
                             row[col] = sign
-                        hit.add(r)
+                        hit.append(r)
                 if hit:
                     cols[col] = hit
                 col += 1

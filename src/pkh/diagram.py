@@ -421,9 +421,13 @@ def _check_pairs(value, what: str) -> None:
 
 
 def diagram_from_dict(doc: dict) -> PeriodicDiagram:
+    if not isinstance(doc, dict):
+        raise ParseError("the diagram must be a JSON object")
     try:
         n = doc["n"]
         tg = doc["tangle"]
+        if not isinstance(tg, dict):
+            raise ParseError("tangle must be a JSON object")
         raw_crossings = tg["crossings"]
         raw_arcs = tg["arcs"]
         seam_in = tg["seam_in"]

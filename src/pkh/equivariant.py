@@ -44,7 +44,8 @@ from .complexes import GradedAbGroup, SliceComplex, build_complex, khovanov_homo
 from .diagram import PeriodicDiagram
 from .errors import InvariantError, ValidationError
 from .homalg import (FreeComplex, OrbitCancellingComplex, SparseIntMatrix, cofactor,
-                     cyclotomic, eval_group_ring, isotypic_complex, orbits, poly_divmod)
+                     cyclotomic, eval_group_ring, isotypic_complex, orbits, poly_divmod,
+                     reduce_unit_pivots)
 from .oracles import MAX_WINDOW
 from .polynomials import BiPolynomial
 
@@ -228,8 +229,9 @@ def ext_groups(diagram: PeriodicDiagram, d: int, window: int | None = None) -> E
         red = equivariant_reduce(sl, n)
         if not red.dims:
             continue
-        tot = _totalize(red, res, window + 1)
-        hom = tot.homology()
+        # the total complex is built here for this call alone, so it is
+        # reduced in place rather than copied by `homology`
+        hom = reduce_unit_pivots(_totalize(red, res, window + 1)).homology(prereduce=False)
         for m, grp in hom.items():
             if m <= window:
                 out[(m, j)] = grp
@@ -371,12 +373,15 @@ def _totalize(red: EquivariantSlice, res: PeriodicResolution, maxdeg: int) -> Fr
     mats = {m: SparseIntMatrix(dims[m + 1], dims[m]) for m in dims if m + 1 in dims}
 
     def write(m, c, blocks):
-        """Column c of d_m: the entries of each (row offset, entries) block."""
+        """Column c of d_m: the entries of each (row offset, entries) block.
+
+        The blocks lie in disjoint row ranges and list a row once each, so
+        no entry is written twice."""
         mat = mats.get(m)
         if mat is None:
             return
         rows = mat.rows
-        col = set()
+        col = []
         for off, entries in blocks:
             for r, v in entries:
                 r += off
@@ -385,7 +390,7 @@ def _totalize(red: EquivariantSlice, res: PeriodicResolution, maxdeg: int) -> Fr
                     rows[r] = {c: v}
                 else:
                     row[c] = v
-                col.add(r)
+                col.append(r)
         if col:
             mat.cols[c] = col
 
@@ -432,13 +437,17 @@ def hom_cohomology(diagram: PeriodicDiagram, module: str = "trivial") -> GradedA
         raise ValidationError("the sign module needs even rotation order")
     out: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for j, fc in _isotypic_slices(diagram, d):
-        for i, grp in fc.homology().items():
+        for i, grp in reduce_unit_pivots(fc).homology(prereduce=False).items():
             out[(i, j)] = grp
     return GradedAbGroup.from_dict(out)
 
 
 def _isotypic_slices(diagram: PeriodicDiagram, d: int):
-    """(j, the Phi_d-isotypic part of the orbit-reduced slice j) per nonzero slice."""
+    """(j, the Phi_d-isotypic part of the orbit-reduced slice j) per nonzero slice.
+
+    Each part is built afresh, so the caller owns it and may reduce it in
+    place; the reduced slice kept on the slice is only read.
+    """
     cx = build_complex(diagram)
     for j in cx.quantum_range():
         sl = cx.slice(j)
@@ -463,7 +472,7 @@ def rational_equivariant(diagram: PeriodicDiagram, d: int) -> dict:
     phi_d = len(cyclotomic(d)) - 1
     dims: dict[tuple[int, int], int] = {}
     for j, fc in _isotypic_slices(diagram, d):
-        for i, (h, _) in fc.homology().items():
+        for i, (h, _) in reduce_unit_pivots(fc).homology(prereduce=False).items():
             if not h:
                 continue
             if h % phi_d:

@@ -40,7 +40,9 @@ from .errors import InvariantError
 
 
 class SparseIntMatrix:
-    """Sparse integer matrix, row-major with a column occupancy index."""
+    """Sparse integer matrix: rows[r] maps column to nonzero value, and the
+    column index cols[c] lists the rows of column c, each once, in no
+    particular order."""
 
     __slots__ = ("nrows", "ncols", "rows", "cols")
 
@@ -48,15 +50,17 @@ class SparseIntMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows: dict[int, dict[int, int]] = {}
-        self.cols: dict[int, set[int]] = {}
+        self.cols: dict[int, list[int]] = {}
 
     def get(self, r: int, c: int) -> int:
         return self.rows.get(r, {}).get(c, 0)
 
     def set(self, r: int, c: int, v: int) -> None:
         if v:
-            self.rows.setdefault(r, {})[c] = v
-            self.cols.setdefault(c, set()).add(r)
+            row = self.rows.setdefault(r, {})
+            if c not in row:
+                self.cols.setdefault(c, []).append(r)
+            row[c] = v
         else:
             self._drop(r, c)
 
@@ -64,18 +68,14 @@ class SparseIntMatrix:
         if not v:
             return
         row = self.rows.setdefault(r, {})
-        new = row.get(c, 0) + v
-        if new:
-            row[c] = new
-            self.cols.setdefault(c, set()).add(r)
+        old = row.get(c)
+        if old is None:
+            row[c] = v
+            self.cols.setdefault(c, []).append(r)
+        elif old + v:
+            row[c] += v
         else:
-            del row[c]
-            if not row:
-                del self.rows[r]
-            col = self.cols[c]
-            col.discard(r)
-            if not col:
-                del self.cols[c]
+            self._drop(r, c)
 
     def _drop(self, r: int, c: int) -> None:
         row = self.rows.get(r)
@@ -84,7 +84,7 @@ class SparseIntMatrix:
             if not row:
                 del self.rows[r]
             col = self.cols[c]
-            col.discard(r)
+            col.remove(r)
             if not col:
                 del self.cols[c]
 
@@ -103,7 +103,7 @@ class SparseIntMatrix:
     def copy(self) -> "SparseIntMatrix":
         m = SparseIntMatrix(self.nrows, self.ncols)
         m.rows = {r: dict(row) for r, row in self.rows.items()}
-        m.cols = {c: set(col) for c, col in self.cols.items()}
+        m.cols = {c: col.copy() for c, col in self.cols.items()}
         return m
 
     def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
@@ -296,13 +296,14 @@ def reduce_unit_pivots(cx) -> FreeComplex:
 
     `cx` is a `FreeComplex`, whose matrices are taken over and reduced in
     place in global rounds, so a caller that keeps it passes copies; or a
-    complex with `dims` and `build_diff(i, cols)`, which builds d_i on the
-    degree-i columns `cols` (a Khovanov slice).  Such a complex is swept in
-    ascending degree: d_i is built on the degree-i generators still alive,
-    those not cancelled as rows of d_{i-1}, and reduced before d_{i+1} is
-    built.  That is exact, because a cancellation in d_i deletes only rows
-    of d_{i-1} and columns of d_{i+1}, so a reduced degree never gains a
-    unit again; and only one unreduced differential is held at a time.
+    complex with `dims` and `build_diff(i, keep)`, which builds d_i on the
+    degree-i columns c with keep[c] set (a Khovanov slice).  Such a complex
+    is swept in ascending degree: d_i is built on the degree-i generators
+    still alive, those not cancelled as rows of d_{i-1}, with the kernel's
+    flags `alive[i]` as keep, and reduced before d_{i+1} is built.  That is
+    exact, because a cancellation in d_i deletes only rows of d_{i-1} and
+    columns of d_{i+1}, so a reduced degree never gains a unit again; and
+    only one unreduced differential is held at a time.
     """
     ranks = cx.dims
     if isinstance(cx, FreeComplex):
@@ -422,11 +423,12 @@ class CancellingComplex:
     """A cochain complex under Gaussian cancellation (algebraic Morse theory).
 
     Takes ownership of the matrices it is given and updates them in place.
-    Basis elements keep their original ids until `export`; `alive` holds the
-    ids not yet cancelled and `mats[i]` the nonzero d_i on them.  An engine
-    may bring a rule, yes or no per unit entry, for which ones to cancel;
-    `reduce` offers them in rounds ordered by (Markowitz fill estimate,
-    degree, row, column).
+    Basis elements keep their original ids until `export`; `alive[i]` is a
+    bytearray of flags, one per degree-i id and 1 while it is not cancelled,
+    and `mats[i]` is the nonzero d_i on the ids alive.  An engine may bring
+    a rule, yes or no per unit entry, for which ones to cancel; `reduce`
+    offers them in rounds ordered by (Markowitz fill estimate, degree, row,
+    column).
 
     A cancellation through d_i[t][s] is two steps: `_schur` updates d_i,
     and `_drop` retires s and t from d_{i-1}, d_{i+1} and `alive`.  These
@@ -435,7 +437,7 @@ class CancellingComplex:
     """
 
     def __init__(self, dims: dict[int, int], mats: dict[int, SparseIntMatrix]):
-        self.alive: dict[int, set[int]] = {i: set(range(n)) for i, n in dims.items()}
+        self.alive: dict[int, bytearray] = {i: bytearray(b"\x01") * n for i, n in dims.items()}
         self.mats = {i: m for i, m in mats.items() if m.rows}
 
     def cancel(self, i: int, t: int, s: int) -> None:
@@ -451,6 +453,10 @@ class CancellingComplex:
         update changes entries in place and appends fill-in in the order of
         row t.  No row is created, so the order in which a column's rows are
         visited reaches no result.
+
+        The rows leave the columns of row t after the update, one pass per
+        column: one update can cancel thousands of entries of one dense
+        column (`kh t8_2`), and a removal each would scan it that often.
         """
         m = self.mats[i]
         rows, cols = m.rows, m.cols
@@ -460,7 +466,9 @@ class CancellingComplex:
             raise InvariantError(f"cancelling a non-unit entry {lam}")
         del rows[t]
         del prow[s]
-        # lam in {1,-1} so 1/lam == lam
+        # lam in {1,-1} so 1/lam == lam; t is in the column of every c in
+        # row t until the end, so no such column empties before then
+        gone = None  # column -> t and the rows whose entry there cancelled
         for r in cols.pop(s):
             if r == t:
                 continue
@@ -470,19 +478,25 @@ class CancellingComplex:
                 old = row.get(c)
                 if old is None:
                     row[c] = coeff * b
-                    cols[c].add(r)
+                    cols[c].append(r)
                 else:
                     new = old + coeff * b
                     if new:
                         row[c] = new
                     else:
                         del row[c]
-                        cols[c].discard(r)
+                        if gone is None:
+                            gone = {}
+                        gone.setdefault(c, {t}).add(r)
             if not row:
                 del rows[r]
         for c in prow:
             col = cols[c]
-            col.discard(t)
+            out = gone.get(c) if gone is not None else None
+            if out is None:
+                col.remove(t)
+            else:
+                col[:] = [r for r in col if r not in out]
             if not col:
                 del cols[c]
         if not rows:
@@ -502,7 +516,7 @@ class CancellingComplex:
                 bcols = below.cols
                 for c in brow:
                     col = bcols[c]
-                    col.discard(s)
+                    col.remove(s)
                     if not col:
                         del bcols[c]
                 if not below.rows:
@@ -519,8 +533,8 @@ class CancellingComplex:
                         del arows[r]
                 if not arows:
                     del mats[i + 1]
-        self.alive[i].discard(s)
-        self.alive[i + 1].discard(t)
+        self.alive[i][s] = 0
+        self.alive[i + 1][t] = 0
 
     def reduce(self, rule=None) -> None:
         """Cancel in rounds until a round cancels nothing.
@@ -590,8 +604,9 @@ class CancellingComplex:
         dims omits degrees with nothing left; remap[i] sends each surviving
         original id of degree i to its new index.
         """
-        remap = {i: {e: k for k, e in enumerate(sorted(s))} for i, s in self.alive.items()}
-        dims = {i: len(s) for i, s in self.alive.items() if s}
+        remap = {i: {e: k for k, e in enumerate(e for e, a in enumerate(flags) if a)}
+                 for i, flags in self.alive.items()}
+        dims = {i: len(rm) for i, rm in remap.items() if rm}
         diffs: dict[int, SparseIntMatrix] = {}
         for i, m in self.mats.items():
             out = SparseIntMatrix(dims.get(i + 1, 0), dims.get(i, 0))
@@ -609,7 +624,8 @@ class OrbitCancellingComplex(CancellingComplex):
     permutation of each basis (psi[i][e] = (image, sign)).  The lead of an
     orbit is its least id, and `mats[i]` holds d_i on the lead columns of
     degree i only, with every row: column psi^k(s) is psi^k applied to
-    column s, so it is not stored.  The build is `build(i, leads)`.
+    column s, so it is not stored.  The build is `build(i, keep)`, with
+    keep[e] = 1 on the leads of degree i and 0 elsewhere.
 
     A unit d_i[t][s] on a lead s is a group-ring pivot when the orbits of s
     and t are free and t is the only member of its orbit in column s: the
@@ -634,19 +650,21 @@ class OrbitCancellingComplex(CancellingComplex):
                     lead[e] = ids[0]
                 orbit[ids[0]] = ids
             self.lead[i], self.orbit[i] = lead, orbit
-        super().__init__(dims, {i: build(i, self.orbit[i].keys()) for i in dims if i + 1 in dims})
+        # the build's mask flags the ids that are their own orbit's lead
+        super().__init__(dims, {i: build(i, bytearray(a == e for e, a in enumerate(self.lead[i])))
+                                for i in dims if i + 1 in dims})
 
     def free_pivot(self, i: int, t: int, s: int) -> bool:
         """The rule for `reduce`: whether (t, s) is a group-ring pivot."""
         n = self.n
         if len(self.orbit[i][s]) != n:
             return False
-        orb = self.orbit[i + 1][self.lead[i + 1][t]]
-        if len(orb) != n:
+        lead = self.lead[i + 1]
+        a = lead[t]
+        if len(self.orbit[i + 1][a]) != n:
             return False
-        col = self.mats[i].cols[s]
-        for t2 in orb:
-            if t2 != t and t2 in col:
+        for r in self.mats[i].cols[s]:
+            if r != t and lead[r] == a:
                 return False
         return True
 
@@ -689,7 +707,7 @@ class OrbitCancellingComplex(CancellingComplex):
                         rows[r] = {s: y}
                     else:
                         row[s] = y
-                cols[s] = {r for r, _ in col}
+                cols[s] = [r for r, _ in col]
                 self._schur(i, t, s)
             self._drop(i, s, t)
 
@@ -716,7 +734,7 @@ class OrbitCancellingComplex(CancellingComplex):
                             rows[r] = {cur: a * v}
                         else:
                             row[cur] = a * v
-                    cols[cur] = {r for r, _ in vec}
+                    cols[cur] = [r for r, _ in vec]
         return super().export()
 
 

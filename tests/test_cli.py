@@ -331,19 +331,38 @@ def test_ekh_on_the_largest_diagram_peaks_within_245_mb(corpus_dir):
     assert child_peak_mb("ekh", str(corpus_dir / "t8_2.json"), "--d", "2") <= 245
 
 
-def test_kh_leaves_at_most_2_5_mb_allocated(corpus_dir):
-    """After `kh t7_2` returns, at most 2.5 MB of what it allocated is still
-    held: a slice keeps its smoothings, not a table per smoothing or generator."""
+def child_traced_memory(*argv) -> tuple[int, int]:
+    """tracemalloc's (current, peak) bytes after `pkh ARGV...` returns, traced
+    from after the import in a child of its own, which must exit 0."""
     code = ("import sys, tracemalloc\n"
             "from pkh import cli\n"
             "tracemalloc.start()\n"
             "cli.main(sys.argv[1:])\n"
-            "print(tracemalloc.get_traced_memory()[0], file=sys.stderr)\n")
-    proc = subprocess.run([sys.executable, "-c", code, "kh", str(corpus_dir / "t7_2.json")],
+            "print(*tracemalloc.get_traced_memory(), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stderr) <= 2_500_000
+    current, peak = map(int, proc.stderr.split())
+    return current, peak
+
+
+def test_kh_leaves_at_most_2_5_mb_allocated(corpus_dir):
+    """After `kh t7_2` returns, at most 2.5 MB of what it allocated is still
+    held: a slice keeps its smoothings, not a table per smoothing or generator.
+    At its peak it holds at most 5.5 MB: a matrix column is a list of rows
+    and the kernel's live generators are a bytearray of flags, not sets."""
+    current, peak = child_traced_memory("kh", str(corpus_dir / "t7_2.json"))
+    assert current <= 2_500_000
+    assert peak <= 5_500_000
+
+
+def test_ekh_peaks_at_most_4_5_mb_allocated(corpus_dir):
+    """`ekh t6_2 --d 2 --window 40` holds at most 4.5 MB at its peak: on top
+    of the bookkeeping of `kh`, the total complex is reduced in place, not
+    copied first."""
+    assert child_traced_memory("ekh", str(corpus_dir / "t6_2.json"),
+                               "--d", "2", "--window", "40")[1] <= 4_500_000
 
 
 TRACED = Path(__file__).resolve().parent.parent / "khbench" / "traced.py"
@@ -401,6 +420,21 @@ class TestMalformedInput:
             code, err = run_cli_err(capsys, "kh", str(path))
             assert code == 3, (field, value)
             assert len(err) == 1 and err[0].startswith("error: "), (field, err)
+
+    def test_document_and_tangle_that_are_not_objects_exit_3(self, capsys, tmp_path):
+        """A top-level array, string or null, or a tangle that is not an
+        object, is named as such, not reported as a Python TypeError."""
+        cases = [(doc, "error: the diagram must be a JSON object")
+                 for doc in ([self.hopf()], "hopf", None, 5)]
+        for tangle in ("x", None, [self.hopf()["tangle"]], 2):
+            doc = self.hopf()
+            doc["tangle"] = tangle
+            cases.append((doc, "error: tangle must be a JSON object"))
+        path = tmp_path / "bad.json"
+        for doc, want in cases:
+            path.write_text(json.dumps(doc))
+            code, err = run_cli_err(capsys, "kh", str(path))
+            assert (code, err) == (3, [want]), doc
 
     def test_not_utf8_exits_3(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

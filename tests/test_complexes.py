@@ -12,7 +12,8 @@ from pkh.complexes import (GradedAbGroup, SliceComplex, build_complex, edge_sign
                            khovanov_polynomial)
 from pkh.diagram import diagram_from_dict
 from pkh.errors import ValidationError
-from pkh.homalg import CancellingComplex, FreeComplex, SparseIntMatrix, reduce_unit_pivots
+from pkh.homalg import (CancellingComplex, FreeComplex, OrbitCancellingComplex, SparseIntMatrix,
+                        reduce_unit_pivots)
 from pkh.polynomials import BiPolynomial, LaurentPoly
 from helpers import fraction_rank, mirror
 from test_moves import MAX_CROSSINGS, closures
@@ -231,9 +232,9 @@ class TestEdgeTables:
                     tgt_index = {be: k for k, be in enumerate(ref[i + 1])}
                     diffs[i] = sl.build_diff(i)
                     assert_same_matrix(diffs[i], reference_diff(D, src, tgt_index), where)
-                    leads = {c for c in range(len(src)) if rng.random() < 0.3}
-                    assert_same_matrix(sl.build_diff(i, leads),
-                                       reference_diff(D, src, tgt_index, leads), where)
+                    keep = bytearray(rng.random() < 0.3 for _ in src)
+                    assert_same_matrix(sl.build_diff(i, keep),
+                                       reference_diff(D, src, tgt_index, kept(keep)), where)
                 FreeComplex(sl.dims, diffs).check_composes()
 
     def test_diff_builds_a_fresh_matrix(self):
@@ -296,6 +297,33 @@ class TestEdgeTables:
         assert khovanov_homology(d, "Q") is khovanov_homology(d, "Q")
 
 
+def kept(keep):
+    """The columns a flag mask keeps, as a set."""
+    return {c for c, flag in enumerate(keep) if flag}
+
+
+def orbit_leads(psi):
+    """The least id of each cycle of a signed permutation, by walking it."""
+    leads = set()
+    for e in range(len(psi)):
+        orbit, cur = [e], psi[e][0]
+        while cur != e:
+            orbit.append(cur)
+            cur = psi[cur][0]
+        leads.add(min(orbit))
+    return leads
+
+
+def assert_restricted(got, full, keep, where):
+    """`got` is `full` on the columns c with keep[c] set, entry for entry."""
+    assert (got.nrows, got.ncols) == (full.nrows, full.ncols), where
+    want = {r: [(c, v) for c, v in row.items() if keep[c]] for r, row in full.rows.items()}
+    assert {r: list(row.items()) for r, row in got.rows.items()} == \
+        {r: row for r, row in want.items() if row}, where
+    assert [(c, list(col)) for c, col in got.cols.items()] == \
+        [(c, list(col)) for c, col in full.cols.items() if keep[c]], where
+
+
 class TestLeadColumns:
     def test_lead_columns_match_full_build(self):
         """d_i on the orbit-lead columns is d_i restricted to them, entry for entry.
@@ -313,23 +341,49 @@ class TestLeadColumns:
                 for i in sl.basis:
                     if i + 1 not in sl.basis:
                         continue
-                    psi = sl.psi(i)
-                    leads = set()
-                    for e in range(len(psi)):
-                        orbit, cur = [e], psi[e][0]
-                        while cur != e:
-                            orbit.append(cur)
-                            cur = psi[cur][0]
-                        leads.add(min(orbit))
-                    got = sl.build_diff(i, leads)
-                    full = sl.diff(i)
-                    want = {r: [(c, v) for c, v in row.items() if c in leads]
-                            for r, row in full.rows.items()}
-                    assert (got.nrows, got.ncols) == (full.nrows, full.ncols)
-                    assert {r: list(row.items()) for r, row in got.rows.items()} == \
-                        {r: row for r, row in want.items() if row}, (name, j, i)
-                    assert [(c, list(col)) for c, col in got.cols.items()] == \
-                        [(c, list(col)) for c, col in full.cols.items() if c in leads], (name, j, i)
+                    leads = orbit_leads(sl.psi(i))
+                    keep = bytearray(c in leads for c in range(sl.dim(i)))
+                    assert_restricted(sl.build_diff(i, keep), sl.diff(i), keep, (name, j, i))
+
+
+class TestColumnMasks:
+    """A column mask is indexed, on degrees of more than 256 generators.
+
+    `c in keep` on a bytearray asks whether the byte value c occurs: it
+    raises from c = 256 on and answers the wrong question below that.
+    """
+
+    @staticmethod
+    def wide_degrees():
+        """(diagram, slice, degree) for every degree of t6_2 with over 256
+        generators and a differential out of it."""
+        D = corpus.build("t6_2")
+        cx = build_complex(D)
+        out = [(D, cx.slice(j), i) for j in cx.quantum_range()
+               for i, dim in cx.slice(j).dims.items() if dim > 256 and i + 1 in cx.slice(j).dims]
+        assert out
+        return out
+
+    def test_random_mask_restricts_the_full_build(self):
+        rng = random.Random(43)
+        for _, sl, i in self.wide_degrees():
+            keep = bytearray(rng.random() < 0.5 for _ in range(sl.dim(i)))
+            assert_restricted(sl.build_diff(i, keep), sl.diff(i), keep, (sl.j, i))
+
+    def test_orbit_kernel_builds_on_its_lead_mask(self):
+        """`OrbitCancellingComplex` flags exactly the least id of each orbit,
+        and builds d_i on those columns."""
+        for D, sl, i in self.wide_degrees():
+            psi = {k: sl.psi(k) for k in sl.dims}
+            masks = {}
+
+            def build(k, keep):
+                masks[k] = bytes(keep)
+                return sl.build_diff(k, keep)
+
+            red = OrbitCancellingComplex(sl.dims, psi, D.n, build)
+            assert kept(masks[i]) == orbit_leads(psi[i]), (sl.j, i)
+            assert_restricted(red.mats[i], sl.diff(i), masks[i], (sl.j, i))
 
 
 def reference_khovanov_homology(D) -> dict[str, GradedAbGroup]:
@@ -355,13 +409,16 @@ def reference_khovanov_homology(D) -> dict[str, GradedAbGroup]:
 
 
 def recorded_builds(monkeypatch):
-    """Every `SliceComplex.build_diff` from now on, as (j, i, leads or None, nnz)."""
+    """Every `SliceComplex.build_diff` from now on, as (j, i, kept columns or
+    None, nnz); a mask has one flag per degree-i generator."""
     builds = []
     build = SliceComplex.build_diff
 
-    def recorded(sl, i, leads=None):
-        m = build(sl, i, leads)
-        builds.append((sl.j, i, None if leads is None else set(leads), m.nnz))
+    def recorded(sl, i, keep=None):
+        m = build(sl, i, keep)
+        if keep is not None:
+            assert len(keep) == sl.dim(i), (sl.j, i)
+        builds.append((sl.j, i, None if keep is None else kept(keep), m.nnz))
         return m
 
     monkeypatch.setattr(SliceComplex, "build_diff", recorded)

@@ -280,12 +280,13 @@ def _reference_cancel(work, m, t, s):
         for c, b in prow:
             new = row.get(c, 0) - coeff * b
             if new:
+                if c not in row:
+                    cols.setdefault(c, []).append(r)
                 row[c] = new
-                cols.setdefault(c, set()).add(r)
             elif c in row:
                 del row[c]
                 col = cols[c]
-                col.discard(r)
+                col.remove(r)
                 if not col:
                     del cols[c]
         if not row:
