@@ -98,8 +98,10 @@ def _scalar(v):
 
 def cmd_kh(args) -> int:
     D = _load(args.file)
-    groups = khovanov_homology(D, ring="Z" if args.coeffs == "z" else "Q")
-    _emit({"groups": _groups(groups.groups)}, args.format)
+    groups = khovanov_homology(D).groups
+    if args.coeffs == "q":  # the rational groups: the free parts
+        groups = [(key, (free, ())) for key, (free, _) in groups if free]
+    _emit({"groups": _groups(groups)}, args.format)
     return 0
 
 
@@ -142,7 +144,7 @@ def cmd_ss(args) -> int:
         } for pg in pages],
     }
     if args.d is None:
-        payload["abuts_to_khovanov"] = einf_abutment_ok(D, X, pages)
+        payload["abuts_to_khovanov"] = einf_abutment_ok(D, pages)
     _emit(payload, args.format)
     return 0
 
@@ -216,7 +218,7 @@ def cmd_verify(args) -> int:
     record("idempotents_sum_to_one", tot[0] == 1 and all(v == 0 for v in tot[1:]))
     if bic is not None:
         pages = run_pages(D, bic.X, bic=bic, slices=slices)
-        record("spectral_sequence_abuts", einf_abutment_ok(D, bic.X, pages))
+        record("spectral_sequence_abuts", einf_abutment_ok(D, pages))
     ok = all(c["pass"] for c in checks)
     _emit({"ok": ok, "checks": checks}, args.format)
     return 0 if ok else INVARIANT_EXIT

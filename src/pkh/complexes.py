@@ -97,7 +97,7 @@ class DiagramComplex:
         self.shift_i = -diagram.n_minus
         self.shift_j = diagram.n_plus - 2 * diagram.n_minus
         self._slices: dict[int, "SliceComplex"] = {}
-        self._homology: dict[str, GradedAbGroup] = {}  # ring -> khovanov_homology
+        self._homology: GradedAbGroup | None = None  # khovanov_homology's groups
         self._buckets: dict[tuple[int, int], list[int]] | None = None
         self._edges: dict[int, bytes] = {}
         self._labellings: dict[tuple[int, int], Labellings] = {}
@@ -367,36 +367,31 @@ def build_complex(diagram: PeriodicDiagram) -> DiagramComplex:
     return diagram.complex
 
 
-def khovanov_homology(diagram: PeriodicDiagram, ring: str = "Z") -> GradedAbGroup:
-    """Khovanov homology per (i, j); ring 'Z' for groups, 'Q' for ranks.
+def khovanov_homology(diagram: PeriodicDiagram) -> GradedAbGroup:
+    """Integral Khovanov homology per (i, j); the rational groups are its
+    free parts.
 
     Each slice is handed to `reduce_unit_pivots` itself, which sweeps its
     degrees upwards and builds each d_i only on the generators that
-    survived d_{i-1}.  That sweep runs once per diagram, for the integral
-    groups; the rational groups are their free parts.
+    survived d_{i-1}.  That sweep runs once per diagram: the groups are
+    kept on the complex.
     """
-    if ring not in ("Z", "Q"):
-        raise ValidationError("ring must be 'Z' or 'Q'")
     cx = build_complex(diagram)
-    cache = cx._homology
-    if "Z" not in cache:
+    if cx._homology is None:
         out: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
         for j in cx.quantum_range():
             sl = cx.slice(j)
             if not sl.dims:
                 continue
-            for i, grp in reduce_unit_pivots(sl).homology(prereduce=False).items():
+            for i, grp in reduce_unit_pivots(sl).homology().items():
                 out[(i, j)] = grp
-        cache["Z"] = GradedAbGroup.from_dict(out)
-    if ring not in cache:
-        cache[ring] = GradedAbGroup.from_dict(
-            {k: (free, ()) for k, (free, _) in cache["Z"].groups})
-    return cache[ring]
+        cx._homology = GradedAbGroup.from_dict(out)
+    return cx._homology
 
 
 def khovanov_polynomial(diagram: PeriodicDiagram) -> BiPolynomial:
     """Sum of t^i q^j rank_Q Kh^{i,j}."""
-    return khovanov_homology(diagram, ring="Q").poincare()
+    return khovanov_homology(diagram).poincare()
 
 
 def graded_euler_characteristic(diagram: PeriodicDiagram) -> LaurentPoly:

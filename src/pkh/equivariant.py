@@ -3,11 +3,11 @@
 Integrally, the triply graded groups are hyper-Ext of the cyclotomic module
 Z[xi_d] into the Khovanov complex over Z[t]/(t^n - 1), computed from the
 two-periodic resolution whose maps alternate between multiplication by
-Phi_d(t) and by (t^n - 1)/Phi_d(t).  `PeriodicResolution` owns those maps:
-`ext_groups` takes from it the two multipliers and the number of columns of
-the Hom double complex.  Exactness of the resolution holds for every d | n
-because Z[t] is a domain, and is verified mechanically on its
-regular-representation matrices.
+Phi_d(t) and by (t^n - 1)/Phi_d(t).  `PeriodicResolution` is that data: the
+two multipliers and the number of columns of the Hom double complex.
+Exactness of the resolution holds for every d | n because Z[t] is a
+domain; the engine relies on it through the contraction of each free row
+(`_free_rows`), which `test_free_row_homotopy` checks for every d | n <= 12.
 
 The double complex is not written out whole.  On a free orbit Z[G] its row
 is split exact beyond column 0, with H^0 = Hom(Z[xi_d], Z[G]) = Z^phi(d):
@@ -44,8 +44,8 @@ from .complexes import GradedAbGroup, SliceComplex, build_complex, khovanov_homo
 from .diagram import PeriodicDiagram
 from .errors import InvariantError, ValidationError
 from .homalg import (FreeComplex, OrbitCancellingComplex, SparseIntMatrix, cofactor,
-                     cyclotomic, eval_group_ring, isotypic_complex, orbits, poly_divmod,
-                     reduce_unit_pivots)
+                     cyclotomic, eval_group_ring, isotypic_complex, isotypic_part, orbits,
+                     poly_divmod, reduce_unit_pivots)
 from .oracles import MAX_WINDOW
 from .polynomials import BiPolynomial
 
@@ -55,7 +55,8 @@ from .polynomials import BiPolynomial
 
 @dataclass
 class PeriodicResolution:
-    """Free resolution of Z[xi_d] over Z[t]/(t^n - 1), maps alternating."""
+    """Free resolution of Z[xi_d] over Z[t]/(t^n - 1), `length` columns: the
+    map out of column k multiplies by Phi_d (k odd) or by the cofactor."""
 
     n: int
     d: int
@@ -70,69 +71,11 @@ class PeriodicResolution:
         self.phi = cyclotomic(self.d)
         self.cof = cofactor(self.d, self.n)
 
-    def map_poly(self, k: int) -> list[int]:
-        """Multiplier of the k-th map P_k -> P_{k-1} (k >= 1)."""
-        return self.phi if k % 2 else self.cof
-
-    def map_matrix(self, k: int) -> SparseIntMatrix:
-        """The k-th map on the basis 1, t, ..., t^(n-1): t acts as the cyclic shift."""
-        n = self.n
-        return eval_group_ring(self.map_poly(k), [((e + 1) % n, 1) for e in range(n)], n)
-
-    def augmentation(self) -> SparseIntMatrix:
-        """P_0 = Z[t]/(t^n-1) onto Z[xi_d] = Z[t]/Phi_d, as a matrix."""
-        phi = self.phi
-        deg = len(phi) - 1
-        m = SparseIntMatrix(deg, self.n)
-        rem = [0] * deg
-        rem[0] = 1  # t^0
-        for j in range(self.n):
-            for i, v in enumerate(rem):
-                if v:
-                    m.set(i, j, v)
-            rem = _shift_mod(rem, phi)
-        return m
-
-    def verify(self) -> None:
-        """Composition-to-zero and exactness at every inner stage."""
-        a, b = self.map_matrix(1), self.map_matrix(2)
-        if not a.matmul(b).is_zero() or not b.matmul(a).is_zero():
-            raise InvariantError("consecutive resolution maps do not compose to zero")
-        for first, second in ((a, b), (b, a)):
-            mid = FreeComplex({0: self.n, 1: self.n, 2: self.n}, {0: first, 1: second})
-            h = mid.homology()
-            if h.get(1, (0, ()))[0] or h.get(1, (0, ()))[1]:
-                raise InvariantError("resolution is not exact at an inner stage")
-        aug = self.augmentation()
-        top = FreeComplex({0: self.n, 1: self.n, 2: aug.nrows}, {0: a, 1: aug})
-        h = top.homology()
-        if h.get(1, (0, ()))[0] or h.get(1, (0, ()))[1]:
-            raise InvariantError("resolution is not exact below the augmentation")
-
-
-def _shift_mod(rem: list[int], phi: list[int]) -> list[int]:
-    """Multiply a residue mod the monic polynomial phi by t."""
-    deg = len(phi) - 1
-    out = [0] * deg
-    lead = rem[deg - 1]
-    for i in range(deg - 1):
-        out[i + 1] = rem[i]
-    if lead:
-        for i in range(deg):
-            out[i] -= lead * phi[i]
-    return out
-
 
 def _check_divisor(n: int, d: int) -> None:
     """The cyclotomic index d must be a positive divisor of the order n."""
     if d < 1 or n % d:
         raise ValidationError(f"{d} does not divide the rotation order {n}")
-
-
-def build_resolution(n: int, d: int, length: int) -> PeriodicResolution:
-    res = PeriodicResolution(n, d, length)
-    res.verify()
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +172,8 @@ def ext_groups(diagram: PeriodicDiagram, d: int, window: int | None = None) -> E
         red = equivariant_reduce(sl, n)
         if not red.dims:
             continue
-        # the total complex is built here for this call alone, so it is
-        # reduced in place rather than copied by `homology`
-        hom = reduce_unit_pivots(_totalize(red, res, window + 1)).homology(prereduce=False)
+        # the total complex is built here for this call alone, so it is reduced in place
+        hom = reduce_unit_pivots(_totalize(red, res, window + 1)).homology()
         for m, grp in hom.items():
             if m <= window:
                 out[(m, j)] = grp
@@ -246,35 +188,32 @@ def _free_rows(psi: list[tuple[int, int]], res: PeriodicResolution):
     On a free orbit, x = sum_k c_k psi^k(lead) is the polynomial c(t) mod
     t^n - 1, and g_p, the horizontal map out of column p, multiplies it by
     Phi_d (p even) or by the cofactor (p odd).  The homotopy h on column
-    p >= 1 is the quotient by g_{p-1}; column 0 projects onto
-    H = ker Phi_d, with basis cof * t^k for k < phi(d), by pi(x) = cof * (c
-    div cof).  Returns (nonfree, h, proj, incl):
+    p >= 1 is the quotient by g_{p-1}; column 0 projects onto H = ker Phi_d
+    by pi(x) = cof * (c div cof), which is `isotypic_part` of the free
+    orbits.  Returns (nonfree, h, proj, incl):
 
     - nonfree: the ids outside free orbits, ascending;
     - h: the quotients by Phi_d and by the cofactor, {id: [(id', coef)]};
-    - proj: pi in coordinates of H, {id: [(k, coef)]};
+    - proj: pi in coordinates of H, {id: [(k, coef)]}, for every free id;
     - incl: the basis of H as vectors {id: coef}.
     """
-    n, cof = res.n, res.cof
-    quot = [[poly_divmod([0] * k + [1], g)[0] for k in range(n)] for g in (res.phi, cof)]
-    phi_d = n - len(cof) + 1
+    n = res.n
+    quot = [[poly_divmod([0] * k + [1], g)[0] for k in range(n)] for g in (res.phi, res.cof)]
     nonfree: list[int] = []
+    free = []
     h: tuple[dict, dict] = ({}, {})
-    proj: dict[int, list[tuple[int, int]]] = {}
-    incl: list[dict[int, int]] = []
-    for ids, signs, _ in orbits(psi):
+    for orbit in orbits(psi):
+        ids, signs, _ = orbit
         if len(ids) < n:
             nonfree.extend(ids)
             continue
-        base = len(incl)
+        free.append(orbit)
         for k, e in enumerate(ids):
             s = signs[k]
             for table, qk in zip(h, quot):
                 table[e] = [(ids[j], s * c * signs[j]) for j, c in enumerate(qk[k]) if c]
-            proj[e] = [(base + j, s * c) for j, c in enumerate(quot[1][k]) if c]
-        for k in range(phi_d):
-            incl.append({ids[j + k]: c * signs[j + k] for j, c in enumerate(cof) if c})
     nonfree.sort()
+    incl, proj = isotypic_part(free, res.d)
     return nonfree, h, proj, incl
 
 
@@ -435,25 +374,20 @@ def hom_cohomology(diagram: PeriodicDiagram, module: str = "trivial") -> GradedA
     d = 1 if module == "trivial" else 2  # the +1 or -1 eigenlattice
     if d == 2 and diagram.n % 2:
         raise ValidationError("the sign module needs even rotation order")
-    out: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    for j, fc in _isotypic_slices(diagram, d):
-        for i, grp in reduce_unit_pivots(fc).homology(prereduce=False).items():
-            out[(i, j)] = grp
-    return GradedAbGroup.from_dict(out)
+    return GradedAbGroup.from_dict(dict(_isotypic_slices(diagram, d)))
 
 
 def _isotypic_slices(diagram: PeriodicDiagram, d: int):
-    """(j, the Phi_d-isotypic part of the orbit-reduced slice j) per nonzero slice.
-
-    Each part is built afresh, so the caller owns it and may reduce it in
-    place; the reduced slice kept on the slice is only read.
-    """
+    """((i, j), group) per nonzero group of the Phi_d-isotypic parts of the
+    orbit-reduced slices: each part is built afresh and reduced in place."""
     cx = build_complex(diagram)
     for j in cx.quantum_range():
         sl = cx.slice(j)
         if sl.dims:
             red = equivariant_reduce(sl, diagram.n)
-            yield j, isotypic_complex(red.dims, red.psi.get, red.diffs.get, d)[1]
+            fc = isotypic_complex(red.dims, red.psi.get, red.diffs.get, d)[1]
+            for i, grp in reduce_unit_pivots(fc).homology().items():
+                yield (i, j), grp
 
 
 # ---------------------------------------------------------------------------
@@ -471,13 +405,12 @@ def rational_equivariant(diagram: PeriodicDiagram, d: int) -> dict:
     _check_divisor(diagram.n, d)
     phi_d = len(cyclotomic(d)) - 1
     dims: dict[tuple[int, int], int] = {}
-    for j, fc in _isotypic_slices(diagram, d):
-        for i, (h, _) in reduce_unit_pivots(fc).homology(prereduce=False).items():
-            if not h:
-                continue
-            if h % phi_d:
-                raise InvariantError("isotypic dimension not divisible by phi(d)")
-            dims[(i, j)] = h
+    for key, (h, _) in _isotypic_slices(diagram, d):
+        if not h:
+            continue
+        if h % phi_d:
+            raise InvariantError("isotypic dimension not divisible by phi(d)")
+        dims[key] = h
     return {"dim_q": dims, "dim_cyc": {k: v // phi_d for k, v in dims.items()}}
 
 
@@ -542,7 +475,7 @@ def total_comparison(diagram: PeriodicDiagram, window: int | None = None) -> dic
     Free ranks must agree on the nose; torsion after inverting the primes
     dividing n.  Returns a report with per-(i, j) failures, if any.
     """
-    classical = khovanov_homology(diagram, "Z").as_dict()
+    classical = khovanov_homology(diagram).as_dict()
     n = diagram.n
     primes = _prime_divisors(n)
     top = max((i for i, _ in classical), default=0)
@@ -597,7 +530,7 @@ def tail_checks(diagram: PeriodicDiagram, d: int, window: int | None = None) -> 
             raise ValidationError("d must be a power of the same prime")
         dd //= p
         s += 1
-    classical = khovanov_homology(diagram, "Z").as_dict()
+    classical = khovanov_homology(diagram).as_dict()
     m_top = max((i for i, _ in classical), default=0)
     if window is None:
         window = m_top + 6

@@ -3,21 +3,24 @@
 Sparse integer matrices with arbitrary-precision entries, the invariant
 factors of their Smith normal form (growth-aware pivoting; every group is
 read off the factors, so no unimodular change of basis is kept), and
-homology of finite free cochain complexes (compressed first by unit-pivot
-Gaussian cancellation, which preserves integral homology exactly).  Smith
-form is the only elimination: it gives the groups and the ranks, `int_rank`
-is its rank, and a rational answer is the free rank of an integral group.
+homology of finite free cochain complexes: the Smith form of the complex as
+given, which every engine first compresses by unit-pivot Gaussian
+cancellation (`reduce_unit_pivots`, which preserves integral homology
+exactly).  Smith form is the only elimination: it gives the groups and the
+ranks, `int_rank` is its rank, and a rational answer is the free rank of an
+integral group.
 
 The group ring acts on a complex through a chain automorphism psi, a signed
 permutation of each basis.  A ring element is a plain coefficient list in
 ascending degree (`cyclotomic`, `cofactor`), and `eval_group_ring` gives its
 matrix at psi; at the cyclic shift of 1, t, ..., t^(n-1) that is the regular
 representation.  The cycles of psi are walked in one place, `orbits`, which
-serves the isotypic bases and the orbit cancellation; `isotypic_complex` is
-the one projection of a complex onto its Phi_d-isotypic part, over Z, for
-every d | n.  `poly_divmod` divides by a monic polynomial over Z, and
-`rational_idempotents` gives the central idempotents of Q[t]/(t^n - 1) in
-closed form.
+serves the isotypic bases and the orbit cancellation.  `isotypic_part` is
+the one construction of an orbit's part of ker Phi_d and of its
+coordinates, and `isotypic_complex` the one projection of a complex onto
+its Phi_d-isotypic part, over Z, for every d | n.  `poly_divmod` divides by
+a monic polynomial over Z, and `rational_idempotents` gives the central
+idempotents of Q[t]/(t^n - 1) in closed form.
 
 One Gaussian-cancellation step serves every engine.  `CancellingComplex`
 holds its only copy: the Schur update from a pivot row, the removal of the
@@ -105,22 +108,6 @@ class SparseIntMatrix:
         m.rows = {r: dict(row) for r, row in self.rows.items()}
         m.cols = {c: col.copy() for c, col in self.cols.items()}
         return m
-
-    def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        out = SparseIntMatrix(self.nrows, other.ncols)
-        for r, row in self.rows.items():
-            acc: dict[int, int] = {}
-            for k, v in row.items():
-                orow = other.rows.get(k)
-                if orow:
-                    for c, w in orow.items():
-                        acc[c] = acc.get(c, 0) + v * w
-            for c, v in acc.items():
-                if v:
-                    out.set(r, c, v)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +240,26 @@ class FreeComplex:
         return sorted(self.dims)
 
     def check_composes(self) -> None:
+        """Raise unless d_{i+1} o d_i = 0 for every i.
+
+        The product is formed one row at a time and not kept: the check
+        stops at the first row with a nonzero entry.
+        """
         for i, d in self.diffs.items():
             nxt = self.diffs.get(i + 1)
-            if nxt is not None and not nxt.matmul(d).is_zero():
-                raise InvariantError(f"d_{i+1} o d_{i} != 0")
+            if nxt is None:
+                continue
+            drows = d.rows
+            for row in nxt.rows.values():
+                acc: dict[int, int] = {}
+                for k, v in row.items():
+                    drow = drows.get(k)
+                    if drow:
+                        for c, w in drow.items():
+                            acc[c] = acc.get(c, 0) + v * w
+                for v in acc.values():
+                    if v:
+                        raise InvariantError(f"d_{i+1} o d_{i} != 0")
 
     def diff(self, i: int) -> SparseIntMatrix:
         m = self.diffs.get(i)
@@ -264,23 +267,20 @@ class FreeComplex:
             m = SparseIntMatrix(self.dims.get(i + 1, 0), self.dims.get(i, 0))
         return m
 
-    def homology(self, prereduce: bool = True) -> dict[int, tuple[int, tuple[int, ...]]]:
+    def homology(self) -> dict[int, tuple[int, tuple[int, ...]]]:
         """Group H^i per degree as (free rank, torsion invariant factors).
 
-        Degrees whose group is zero are omitted; the rational homology is
-        the free rank.  The complex is left as it was: the unit reduction
-        works on copies of its matrices.
+        Read off the Smith form of each d_i of the complex as given, which
+        is left unchanged; a large complex is passed through
+        `reduce_unit_pivots` first.  Degrees whose group is zero are
+        omitted; the rational homology is the free rank.
         """
-        cx = self
-        if prereduce:
-            copies = {i: m.copy() for i, m in self.diffs.items()}
-            cx = reduce_unit_pivots(FreeComplex(self.dims, copies))
-        snf = {i: smith_normal_form(cx.diff(i)) for i in cx.degrees()}
+        snf = {i: smith_normal_form(self.diff(i)) for i in self.degrees()}
         zero = SmithForm(())
         out: dict[int, tuple[int, tuple[int, ...]]] = {}
-        for i in cx.degrees():
+        for i in self.degrees():
             below = snf.get(i - 1, zero)
-            free = cx.dims[i] - snf[i].rank - below.rank
+            free = self.dims[i] - snf[i].rank - below.rank
             if free or below.nonunit:
                 out[i] = (free, below.nonunit)
         return out
@@ -363,39 +363,54 @@ def project(d: SparseIntMatrix, gens: list[dict[int, int]], nrows: int,
     return out
 
 
-def isotypic_basis(psi: list[tuple[int, int]], d: int):
-    """Integer basis of ker Phi_d(psi), for a signed permutation psi, and its coordinates.
+def isotypic_part(orbs, d: int):
+    """Integer basis of ker Phi_d on the given orbits of a signed permutation,
+    and its coordinates: the one construction of an orbit's Phi_d-part.
 
-    An orbit of length L with psi^L = sigma and Phi_d | t^L - sigma gives the
-    vectors h t^s, s < phi(d), h = (t^L - sigma) / Phi_d, scaled to +1 at
-    their least id; orbits go by least id.  h has constant term +-1 and degree
-    L - phi(d), so on the orbit's first phi(d) ids the vectors are triangular
-    with +-1 on the diagonal.  Returns (vectors, coords): coords inverts those
-    blocks, id -> [(k, coef)], so a lattice vector's coordinate k is the sum
-    of coef * its value at id.  At d = 1, 2 (the +1, -1 eigenlattices) that
-    reads each orbit's one vector at its least id.
+    An orbit (ids, signs, sigma) of `orbits`, of length L, is Z[t]/(t^L -
+    sigma): sum_k c_k t^k has the value c_k * signs[k] at ids[k].  Where Phi_d
+    divides t^L - sigma, with the monic quotient h, the orbit's part is h Z[t]
+    below degree L, with the basis h t^s, s < phi(d), each vector scaled to +1
+    at its least id.  Returns (vectors, coords): coords[id] = [(k, coef)],
+    possibly empty, for every id of such an orbit, from t^m div h at ids[m].
+    The sum of coef * x[id] gives the coordinates of h (x div h): a projection
+    of the orbit, exact on the lattice.  The quotients are computed once per
+    (L, sigma).
     """
-    out: list[dict[int, int]] = []
-    coords: dict[int, list[tuple[int, int]]] = {}
     phi = cyclotomic(d)
     phi_d = len(phi) - 1
-    for ids, signs, sigma in orbits(psi):
-        h, rem = poly_divmod([-sigma] + [0] * (len(ids) - 1) + [1], phi)
-        if rem:
+    tables: dict[tuple[int, int], tuple | None] = {}  # (L, sigma) -> (h, t^m div h by m)
+    out: list[dict[int, int]] = []
+    coords: dict[int, list[tuple[int, int]]] = {}
+    for ids, signs, sigma in orbs:
+        L = len(ids)
+        key = (L, sigma)
+        if key not in tables:
+            h, rem = poly_divmod([-sigma] + [0] * (L - 1) + [1], phi)
+            tables[key] = None if rem else (h, [poly_divmod([0] * m + [1], h)[0]
+                                                for m in range(L)])
+        table = tables[key]
+        if table is None:
             continue
-        # g = 1 / h mod t^phi(d), the inverse of the triangular Toeplitz block
-        g = [h[0]]
-        for k in range(1, phi_d):
-            g.append(-h[0] * sum(h[m] * g[k - m] for m in range(1, min(k, len(h) - 1) + 1)))
+        h, quot = table
         base, scale = len(out), []
         for s in range(phi_d):
             vec = {ids[k + s]: c * signs[k + s] for k, c in enumerate(h) if c}
             scale.append(1 if vec[min(vec)] > 0 else -1)
             out.append(vec if scale[s] > 0 else {e: -c for e, c in vec.items()})
-        for m in range(phi_d):
-            coords[ids[m]] = [(base + s, scale[s] * g[s - m] * signs[m])
-                              for s in range(m, phi_d) if g[s - m]]
+        for m, e in enumerate(ids):
+            # an empty entry is the shared (), not a list per id of a whole slice
+            coords[e] = [(base + s, scale[s] * c * signs[m])
+                         for s, c in enumerate(quot[m]) if c] or ()
     return out, coords
+
+
+def isotypic_basis(psi: list[tuple[int, int]], d: int):
+    """`isotypic_part` of every orbit of psi, by least id: a basis of
+    ker Phi_d(psi) and its coordinates.  At d = 1, 2 (the +1, -1
+    eigenlattices) each orbit's one vector is read at its last id in walk
+    order, with coefficient +-1."""
+    return isotypic_part(orbits(psi), d)
 
 
 def isotypic_complex(dims, psi, diff, d: int):

@@ -459,17 +459,14 @@ def e1_oracle(bic: OrbitResolutionBicomplex) -> dict[tuple[int, int, int], int]:
     for p in range(L + 1):
         for alpha in bic.resolutions(p):
             Dres, c = resolve_diagram(D, alpha)
-            kh = khovanov_homology(Dres, ring="Q")
-            for (i, j), (free, _) in kh.groups:
-                key = (p, i + c, j + p + 3 * c + L)
-                out[key] = out.get(key, 0) + free
+            for (i, j), (free, _) in khovanov_homology(Dres).groups:
+                if free:
+                    key = (p, i + c, j + p + 3 * c + L)
+                    out[key] = out.get(key, 0) + free
     return out
 
 
-def einf_abutment_ok(diagram: PeriodicDiagram, X, pages=None) -> bool:
+def einf_abutment_ok(diagram: PeriodicDiagram, pages: list[SSPage]) -> bool:
     """E_infinity totals must match rational Khovanov homology."""
-    pages = pages or run_pages(diagram, X)
-    einf = pages[-1].total_dims()
-    kh = khovanov_homology(diagram, ring="Q")
-    want = {key: free for key, (free, _) in kh.groups if free}
-    return einf == want
+    want = {key: free for key, (free, _) in khovanov_homology(diagram).groups if free}
+    return pages[-1].total_dims() == want

@@ -2,12 +2,13 @@
 
 Dense views of sparse matrices, the rank over Q and the determinant by
 dense `Fraction` elimination, invariant factors from determinantal divisors,
-the product of integer polynomials, the mirror of a graded group,
-equivariant groups compared over a window, the chain-level tiling of the
-orbit-resolution filtration, and references for the isotypic projection:
-the full-row product, the eigenlattices of a signed permutation walked
-cycle by cycle, and the slice on them; and a reference for the action
-check, comparing d(psi x) with psi(d x) as vectors.
+the product and the long division of integer polynomials, the rational
+part and the mirror of a graded group, equivariant groups compared over a
+window, the chain-level tiling of the orbit-resolution filtration, and
+references for the isotypic projection: the full-row product, the
+eigenlattices of a signed permutation walked cycle by cycle, and the slice
+on them; and a reference for the action check, comparing d(psi x) with
+psi(d x) as vectors.
 """
 
 from fractions import Fraction
@@ -121,6 +122,22 @@ def poly_mul(a: list[int], b: list[int]) -> list[int]:
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by the monic b in Z[t] by long division, untrimmed."""
+    r = list(a)
+    q = [0] * max(0, len(r) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + len(b) - 1]
+        for i, c in enumerate(b):
+            r[k + i] -= q[k] * c
+    return q, r[:len(b) - 1]
+
+
+def rational(groups: GradedAbGroup) -> GradedAbGroup:
+    """The rational groups: the free parts of the integral ones."""
+    return GradedAbGroup.from_dict({k: (free, ()) for k, (free, _) in groups.groups})
 
 
 def mirror(groups: GradedAbGroup) -> GradedAbGroup:

@@ -177,10 +177,10 @@ def test_criterion_11_core_invariant_suite(diagrams, complexes):
         for name in SMALL_CORPUS:
             D = diagrams(name)
             if D.ncross:
-                assert einf_abutment_ok(D, crossing_orbit(D, 0)), name
+                assert einf_abutment_ok(D, run_pages(D, crossing_orbit(D, 0))), name
         for name in ("t7_2", "t8_2"):
             D = diagrams(name)
-            assert einf_abutment_ok(D, crossing_orbit(D, 0)), name
+            assert einf_abutment_ok(D, run_pages(D, crossing_orbit(D, 0))), name
         for n in range(1, 13):
             from fractions import Fraction
             es = rational_idempotents(n)

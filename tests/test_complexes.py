@@ -15,7 +15,7 @@ from pkh.errors import ValidationError
 from pkh.homalg import (CancellingComplex, FreeComplex, OrbitCancellingComplex, SparseIntMatrix,
                         reduce_unit_pivots)
 from pkh.polynomials import BiPolynomial, LaurentPoly
-from helpers import fraction_rank, mirror
+from helpers import fraction_rank, mirror, rational
 from test_moves import MAX_CROSSINGS, closures
 
 
@@ -261,7 +261,7 @@ class TestEdgeTables:
         # the sweep reduces the matrices it builds in place; later builds are intact
         cx = build_complex(corpus.build("t4_2"))
         fresh = build_complex(corpus.build("t4_2"))
-        khovanov_homology(cx.D, "Z")
+        khovanov_homology(cx.D)
         for j in cx.quantum_range():
             sl = cx.slice(j)
             for i in sl.basis:
@@ -281,20 +281,19 @@ class TestEdgeTables:
             return reduce_unit_pivots(cx)
 
         monkeypatch.setattr("pkh.complexes.reduce_unit_pivots", counted)
-        for first, second in (("Z", "Q"), ("Q", "Z")):
-            cx = build_complex(corpus.build("t4_2"))
-            slices = [cx.slice(j) for j in cx.quantum_range()]
-            want = [sum(len(b) for b in sl.basis.values()) for sl in slices if sl.basis]
-            calls.clear()
-            khovanov_homology(cx.D, first)
-            assert calls == want, first
-            khovanov_homology(cx.D, second)
-            assert calls == want, (first, second)
+        cx = build_complex(corpus.build("t4_2"))
+        slices = [cx.slice(j) for j in cx.quantum_range()]
+        want = [sum(len(b) for b in sl.basis.values()) for sl in slices if sl.basis]
+        calls.clear()
+        khovanov_homology(cx.D)
+        assert calls == want
+        khovanov_homology(cx.D)
+        assert calls == want
 
     def test_one_complex_per_diagram(self, diagrams):
         d = diagrams("hopf")
         assert build_complex(d) is build_complex(d)
-        assert khovanov_homology(d, "Q") is khovanov_homology(d, "Q")
+        assert khovanov_homology(d) is khovanov_homology(d)
 
 
 def kept(keep):
@@ -386,12 +385,11 @@ class TestColumnMasks:
             assert_restricted(red.mats[i], sl.diff(i), masks[i], (sl.j, i))
 
 
-def reference_khovanov_homology(D) -> dict[str, GradedAbGroup]:
-    """Khovanov homology over Z and Q with every d_i of a slice built in full.
+def reference_khovanov_homology(D) -> GradedAbGroup:
+    """Khovanov homology over Z with every d_i of a slice built in full.
 
     The reduction before the degree sweep: one `FreeComplex` per slice,
-    reduced by global rounds.  Nothing is cached on the slices.  Q is the
-    free part of Z.
+    reduced by global rounds.  Nothing is cached on the slices.
     """
     cx = build_complex(D)
     groups = {}
@@ -402,10 +400,9 @@ def reference_khovanov_homology(D) -> dict[str, GradedAbGroup]:
         dims = sl.dims
         red = reduce_unit_pivots(FreeComplex(dims, {i: sl.build_diff(i) for i in dims
                                                      if i + 1 in dims}))
-        for i, grp in red.homology(prereduce=False).items():
+        for i, grp in red.homology().items():
             groups[(i, j)] = grp
-    return {"Z": GradedAbGroup.from_dict(groups),
-            "Q": GradedAbGroup.from_dict({k: (free, ()) for k, (free, _) in groups.items()})}
+    return GradedAbGroup.from_dict(groups)
 
 
 def recorded_builds(monkeypatch):
@@ -439,9 +436,7 @@ class TestDegreeSweep:
             return out
 
         monkeypatch.setattr("pkh.complexes.reduce_unit_pivots", checked)
-        want = reference_khovanov_homology(D)
-        for ring in ("Z", "Q"):
-            assert khovanov_homology(D, ring) == want[ring], (where, ring)
+        assert khovanov_homology(D) == reference_khovanov_homology(D), where
         cx = build_complex(D)
         assert len(exported) == sum(1 for j in cx.quantum_range() if cx.slice(j).basis)
 
@@ -470,7 +465,7 @@ class TestDegreeSweep:
         for name in ("t4_2", "t5_2"):
             cx = build_complex(corpus.build(name))
             events.clear()
-            khovanov_homology(cx.D, "Z")
+            khovanov_homology(cx.D)
             built, cancelled = {}, {}
             for event in events:
                 if event[0] == "cancel":
@@ -579,31 +574,31 @@ class TestDegreeSweep:
 
 class TestHomology:
     def test_hopf_rational(self, diagrams):
-        kh = khovanov_homology(diagrams("hopf"), "Q")
+        kh = rational(khovanov_homology(diagrams("hopf")))
         assert kh.as_dict() == {(0, 0): (1, ()), (0, 2): (1, ()),
                                 (2, 4): (1, ()), (2, 6): (1, ())}
 
     def test_trefoil_rational_and_torsion(self, diagrams):
-        kh = khovanov_homology(diagrams("trefoil"), "Z")
+        kh = khovanov_homology(diagrams("trefoil"))
         assert kh.as_dict() == {(0, 1): (1, ()), (0, 3): (1, ()), (2, 5): (1, ()),
                                 (3, 7): (0, (2,)), (3, 9): (1, ())}
 
     def test_unknot_diagrams_agree(self, diagrams):
         expected = GradedAbGroup.from_dict({(0, 1): (1, ()), (0, -1): (1, ())})
         for name in ("unknot0", "unknot0_n2", "unknot2_n2"):
-            assert khovanov_homology(diagrams(name), "Z") == expected
+            assert khovanov_homology(diagrams(name)) == expected
         kinked = diagram_from_dict(corpus.braid_tangle((1,), 2, 1))
-        assert khovanov_homology(kinked, "Z") == expected
+        assert khovanov_homology(kinked) == expected
 
     def test_reidemeister_invariance_trefoil(self, diagrams):
-        flat = khovanov_homology(diagrams("trefoil"), "Z")
-        periodic = khovanov_homology(diagrams("t3_2"), "Z")
+        flat = khovanov_homology(diagrams("trefoil"))
+        periodic = khovanov_homology(diagrams("t3_2"))
         assert flat == periodic
 
     def test_reidemeister_invariance_torus(self, diagrams):
         for n in (4, 5):
-            assert khovanov_homology(diagrams(f"t{n}_2"), "Z") == \
-                khovanov_homology(diagrams(f"t{n}_2_flat"), "Z")
+            assert khovanov_homology(diagrams(f"t{n}_2")) == \
+                khovanov_homology(diagrams(f"t{n}_2_flat"))
 
     def test_rational_ranks_match_dense_fraction_elimination(self):
         # rank-nullity over Q on every full d_i, with no elimination of the package
@@ -615,10 +610,10 @@ class TestHomology:
                 for i, n in fc.dims.items():
                     free = n - fraction_rank(fc.diff(i)) - fraction_rank(fc.diff(i - 1))
                     want[(i, j)] = (free, ())
-            assert khovanov_homology(cx.D, "Q") == GradedAbGroup.from_dict(want), name
+            assert rational(khovanov_homology(cx.D)) == GradedAbGroup.from_dict(want), name
 
     def test_mirror_symmetry_of_amphichiral_link(self, diagrams):
-        kh = khovanov_homology(diagrams("borromean_n3"), "Q")
+        kh = rational(khovanov_homology(diagrams("borromean_n3")))
         assert kh == mirror(kh)
 
 

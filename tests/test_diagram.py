@@ -117,7 +117,7 @@ class TestSmoothing:
         for bits in range(4):
             assert len(smooth(shuffled, [bits >> 1, bits & 1])) == \
                 len(smooth(original, [bits >> 1, bits & 1]))
-        assert khovanov_homology(shuffled, "Z") == khovanov_homology(original, "Z")
+        assert khovanov_homology(shuffled) == khovanov_homology(original)
 
 
 class TestIsotropy:

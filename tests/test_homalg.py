@@ -3,17 +3,17 @@ import random
 import pytest
 
 from pkh import corpus
-from pkh.complexes import build_complex, khovanov_homology
+from pkh.complexes import build_complex
 from pkh.equivariant import EquivariantSlice, PeriodicResolution, _totalize, equivariant_reduce
-from pkh.errors import ValidationError
 from pkh.equivariant import rational_equivariant
+from pkh.errors import InvariantError
 from pkh.homalg import (FreeComplex, OrbitCancellingComplex, SparseIntMatrix,
                         cofactor, cyclotomic, eval_group_ring, int_rank,
                         isotypic_basis, orbits, project,
                         rational_idempotents, reduce_unit_pivots,
                         smith_normal_form)
-from helpers import (determinantal_factors, fraction_rank, from_dense, isotypic_parts, poly_mul,
-                     project_full_rows, to_dense, transpose)
+from helpers import (determinantal_factors, divmod_monic, fraction_rank, from_dense,
+                     isotypic_parts, poly_mul, project_full_rows, to_dense, transpose)
 
 
 class TestSmithNormalForm:
@@ -108,19 +108,36 @@ class TestHomology:
                 assert entries_in_order(m) == entries, i
                 assert [(c, list(col)) for c, col in m.cols.items()] == cols, i
 
-    def test_homology_rejects_unknown_ring(self):
-        D = corpus.build("hopf")
-        for ring in ("F2", "z", ""):
-            with pytest.raises(ValidationError):
-                khovanov_homology(D, ring)
-
     def test_reduction_preserves_homology(self):
+        """Smith form alone against unit reduction of a copy, then Smith form."""
         rng = random.Random(5)
         for _ in range(10):
             cx = _random_complex(rng)
-            plain = cx.homology(prereduce=False)
-            fast = cx.homology(prereduce=True)
-            assert plain == fast
+            copy = FreeComplex(cx.dims, {i: m.copy() for i, m in cx.diffs.items()})
+            assert reduce_unit_pivots(copy).homology() == cx.homology()
+
+    def test_check_composes_reads_every_row(self):
+        """A nonzero entry in the last of three or more rows of d_1 o d_0, alone,
+        is caught."""
+        rng = random.Random(59)
+        while True:
+            cx = _random_complex(rng)
+            d0, d1 = cx.diffs[0], cx.diffs[1]
+            last = list(d1.rows)[-1]
+            # a lower row k of d_0 reaches the product only through column k
+            # of d_1, so a k whose column is that one row changes only that row
+            k = next((k for k in range(d0.ncols, d0.nrows) if d1.cols.get(k) == [last]), None)
+            if k is not None and len(d1.rows) > 2:
+                break
+        d0.set(k, 0, 1)
+        with pytest.raises(InvariantError):
+            cx.check_composes()
+
+    def test_check_composes_accepts_cancelling_contributions(self):
+        # d_1 o d_0 = 1 * 1 + 1 * (-1) + 2 * 3 + (-3) * 2 = 0, term by term nonzero
+        cx = FreeComplex({0: 1, 1: 4, 2: 1}, {0: from_dense([[1], [-1], [3], [2]]),
+                                              1: from_dense([[1, 1, 2, -3]])})
+        cx.check_composes()
 
     def test_free_ranks_against_dense_kernel_oracle(self):
         # rank-nullity over Q with dense fraction elimination, no shared code
@@ -442,7 +459,7 @@ def _horizontal(red, n, d):
 def slice_ext(red, n, d):
     """Hyper-Ext of one reduced slice in degrees <= 5, as ext_groups takes it."""
     tot = _totalize(red, PeriodicResolution(n, d, 7 - min(0, *red.dims)), 6)
-    return {m: grp for m, grp in tot.homology().items() if m <= 5}
+    return {m: grp for m, grp in reduce_unit_pivots(tot).homology().items() if m <= 5}
 
 
 def slice_isotypic(red, d):
@@ -488,7 +505,7 @@ def reference_totalize(red, horiz, cols, maxdeg):
 def reference_slice_ext(red, n, d, window, n_minus):
     """Hyper-Ext of one reduced slice in degrees <= window, from the whole double complex."""
     tot = reference_totalize(red, _horizontal(red, n, d), window + n_minus + 2, window + 1)
-    return {m: grp for m, grp in tot.homology().items() if m <= window}
+    return {m: grp for m, grp in reduce_unit_pivots(tot).homology().items() if m <= window}
 
 
 def entries_in_order(m):
@@ -656,7 +673,7 @@ class TestCancellationKernel:
                         res = PeriodicResolution(D.n, d, window + D.n_minus + 2)
                         tot = _totalize(red, res, window + 1)
                         tot.check_composes()
-                        got = tot.homology()
+                        got = reduce_unit_pivots(tot).homology()
                         assert {m: g for m, g in got.items() if m <= window} == \
                             {m: g for m, g in want.items() if m <= window}, (name, j, d, window)
 
@@ -697,8 +714,15 @@ class TestCancellationKernel:
                     image = {psi[e][0]: psi[e][1] * c for e, c in v.items()}
                     assert image == {e: eps * c for e, c in v.items()}
                 assert [min(v) for v in gens] == sorted(min(v) for v in gens)
-                # coordinates are read at the least id of each vector
-                assert coords == {min(v): [(k, 1)] for k, v in enumerate(gens)}
+                # coordinates sit at the last id of each vector's orbit, walked from its least id
+                last = []
+                for v in gens:
+                    e = min(v)
+                    for _ in range(len(v) - 1):
+                        e = psi[e][0]
+                    last.append(e)
+                assert {e: c for e, c in coords.items() if c} == \
+                    {e: [(k, v[e])] for k, (e, v) in enumerate(zip(last, gens))}
 
     def test_project_matches_dense_product(self):
         rng = random.Random(31)
@@ -757,6 +781,29 @@ class TestIsotypicProjection:
                         for k, coef in pairs:
                             back[k] += coef * vec.get(e, 0)
                     assert back == comb, (psi, d)
+
+    def test_projection_is_h_times_the_quotient_by_h(self):
+        """On signed orbits at d = 1, 2, 3, 4, 6, iota(pi(e)) = h (t^m div h) for the
+        unit vector e at ids[m] of an orbit, h = (t^L - sigma) / Phi_d; 0 where
+        Phi_d does not divide t^L - sigma.  Divided here by plain long division."""
+        rng = random.Random(61)
+        for _ in range(40):
+            psi = random_signed_orbits(rng)
+            for d in (1, 2, 3, 4, 6):
+                gens, coords = isotypic_basis(psi, d)
+                for ids, signs, sigma in orbits(psi):
+                    h, rem = divmod_monic([-sigma] + [0] * (len(ids) - 1) + [1], cyclotomic(d))
+                    for m, e in enumerate(ids):
+                        got: dict[int, int] = {}
+                        for k, coef in coords.get(e, ()):
+                            for f, a in gens[k].items():
+                                got[f] = got.get(f, 0) + coef * a
+                        want = {}
+                        if not any(rem):
+                            # e is signs[m] t^m; sum c_k t^k has the value c_k signs[k] at ids[k]
+                            quot, _ = divmod_monic([0] * m + [signs[m]], h)
+                            want = {ids[k]: c * signs[k] for k, c in enumerate(poly_mul(h, quot)) if c}
+                        assert {f: a for f, a in got.items() if a} == want, (psi, d, e)
 
     def test_every_isotypic_complex_composes(self, diagrams, complexes):
         """d o d = 0 on the Phi_d part of every slice, whole and reduced, at every d | n.

@@ -103,7 +103,7 @@ def closure(word, strands, n):
 def invariants(word, strands, n):
     D = closure(word, strands, n)
     divisors = [d for d in range(1, n + 1) if n % d == 0]
-    return (khovanov_homology(D, "Z"),
+    return (khovanov_homology(D),
             {d: ext_groups(D, d, MAX_CROSSINGS[n] + 2) for d in divisors},
             {d: rational_equivariant(D, d)["dim_q"] for d in divisors})
 
@@ -162,7 +162,7 @@ def test_per_diagram_suite(n):
                     iso.check_composes()
         assert verify_module_structure(D)["ok"], where
         # the free ranks of the integral groups, which the move tests share
-        poincare = khovanov_homology(D, "Z").poincare()
+        poincare = khovanov_homology(D).poincare()
         assert poincare.at_t_minus_one() == graded_euler_characteristic(D), where
         if unmoved:
             for d in range(1, n + 1):
