@@ -1,10 +1,8 @@
 """Khovanov homology of periodic link diagrams, with exact arithmetic."""
 
-from .complexes import (GradedAbGroup, build_complex, edge_sign,
-                        graded_euler_characteristic, khovanov_homology,
-                        khovanov_polynomial)
-from .diagram import (KauffmanState, PeriodicDiagram, QuotientTangle,
-                      isotropy, orbit_decomposition, parse_diagram, smooth)
+from .complexes import (GradedAbGroup, build_complex, graded_euler_characteristic,
+                        khovanov_homology, khovanov_polynomial)
+from .diagram import PeriodicDiagram, QuotientTangle, parse_diagram
 from .errors import InvariantError, ParseError, PkhError, ValidationError
 from .polynomials import BiPolynomial, LaurentPoly
 

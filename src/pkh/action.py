@@ -10,6 +10,11 @@ The diagram-level count n_minus(D) = n n_minus(T) makes the two ways of
 writing the fixed-state sign agree: applying the generator n/d times to a
 state of isotropy d multiplies the exponent (n-1) n_minus(T) by n/d, which
 equals (n-1) n_minus(D) / d.
+
+A state is its smoothing as a bit mask, bit g for crossing g in
+copy-major order.  `verify_module_structure` checks the action against
+the differential slice by slice; `fixed_state_sign` is the closed form of
+the fixed-state sign, which tests compare with the iterated action.
 """
 
 from __future__ import annotations
@@ -17,9 +22,8 @@ from __future__ import annotations
 from math import gcd
 
 from .complexes import build_complex
-from .diagram import PeriodicDiagram, _as_state, isotropy, orbit_decomposition
+from .diagram import PeriodicDiagram, isotropy
 from .errors import InvariantError, ValidationError
-from .polynomials import LaurentPoly
 
 
 def s_exponent(n: int, r: int, d: int, n_minus_diagram: int) -> int:
@@ -30,12 +34,12 @@ def s_exponent(n: int, r: int, d: int, n_minus_diagram: int) -> int:
     return num // d
 
 
-def fixed_state_sign(diagram: PeriodicDiagram, state) -> int:
+def fixed_state_sign(diagram: PeriodicDiagram, bits: int) -> int:
     """Scalar by which the (n/d)-th power of the generator acts on the span
-    of a state with exact isotropy of order d, before permuting labels."""
-    st = _as_state(diagram, state)
-    d = isotropy(diagram, st)
-    n, r = diagram.n, st.r
+    of the smoothing `bits`, of exact isotropy of order d, before permuting
+    labels."""
+    d = isotropy(diagram, bits)
+    n, r = diagram.n, bits.bit_count()
     if gcd(n, r) % d:
         raise ValidationError("isotropy must divide gcd(n, r)")
     return -1 if s_exponent(n, r, d, diagram.n_minus) & 1 else 1
@@ -111,23 +115,3 @@ def _action_failure(sl, diffs, n: int) -> tuple[str, tuple[int, int, int]] | Non
                     if row is None or row.get(img) != sg * ts * rows[r][k]:
                         return "psi_commutes", (i, sl.j, k)
     return None
-
-
-def chain_module_decomposition(diagram: PeriodicDiagram, r: int):
-    """Orbit decomposition of the weight-r chain group as a cyclic module.
-
-    One entry per rotation orbit of weight-r states: the isotropy order d,
-    the orbit size n/d, the twist parity of the fixed-state sign, and the
-    graded rank of the label space of the representative (already carrying
-    the quantum normalization shift r + n_plus - 2 n_minus).
-    """
-    D = diagram
-    entries = []
-    shift = r + D.n_plus - 2 * D.n_minus
-    for rep, d, size in orbit_decomposition(D, r):
-        eps = s_exponent(D.n, r, d, D.n_minus) & 1
-        if D.n % 2 and eps:
-            raise ValidationError("twist must vanish for odd rotation order")
-        qdim = (LaurentPoly.q_plus_qinv() ** len(rep.circles)).shift(shift)
-        entries.append({"rep": rep, "d": d, "size": size, "twist": eps, "qdim": qdim})
-    return entries

@@ -29,23 +29,10 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .diagram import MAX_RANK, PeriodicDiagram, _as_state
+from .diagram import MAX_RANK, PeriodicDiagram
 from .errors import InvariantError, ValidationError
 from .homalg import FreeComplex, SparseIntMatrix, reduce_unit_pivots
 from .polynomials import BiPolynomial, LaurentPoly
-
-
-def edge_sign(diagram: PeriodicDiagram, state, crossing: int) -> int:
-    """Sign attached to flipping `crossing` from 0 to 1 in `state`."""
-    st = _as_state(diagram, state)
-    if (st.bits >> crossing) & 1:
-        raise ValidationError("crossing is already 1-smoothed")
-    return _edge_sign(st.bits, crossing)
-
-
-def _edge_sign(bits: int, crossing: int) -> int:
-    later = bits >> (crossing + 1)
-    return -1 if later.bit_count() & 1 else 1
 
 
 class Labellings(NamedTuple):
@@ -75,14 +62,6 @@ class GradedAbGroup:
 
     def poincare(self) -> BiPolynomial:
         return BiPolynomial({key: val[0] for key, val in self.groups if val[0]})
-
-    def __str__(self) -> str:
-        bits = []
-        for (i, j), (free, tors) in self.groups:
-            parts = ([f"Z^{free}"] if free > 1 else ["Z"] if free else [])
-            parts += [f"Z/{t}" for t in tors]
-            bits.append(f"({i},{j}): " + " + ".join(parts))
-        return "; ".join(bits) or "0"
 
 
 class DiagramComplex:
@@ -168,13 +147,6 @@ class DiagramComplex:
             sl = SliceComplex(self, j)
             self._slices[j] = sl
         return sl
-
-    def dims(self) -> dict[tuple[int, int], int]:
-        out = {}
-        for j in self.quantum_range():
-            for i, rank in self.slice(j).dims.items():
-                out[(i, j)] = rank
-        return out
 
 
 class SliceComplex:
@@ -282,7 +254,8 @@ class SliceComplex:
                     tlab = cx.labellings(nc - 1, x) if merge else cx.labellings(nc + 1, x + 1)
                     off = tgt_off[tbits]
                     row_t = row_of[tbits] = {mask: off + k for mask, k in tlab.rank.items()}
-                sign = -1 if (bits >> (c + 1)).bit_count() & 1 else 1  # _edge_sign, inline
+                # (-1)^(1-smoothed crossings after c): the right-counting sign
+                sign = -1 if (bits >> (c + 1)).bit_count() & 1 else 1
                 # the source circles, and the circles from b up, whose index shifts
                 src = (1 << a) | (1 << b) if merge else 1 << a
                 out.append((row_t, sign, merge, src, -1 << b, 1 << a, 1 << b))

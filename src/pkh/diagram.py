@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import comb
 
 from .errors import ParseError, ValidationError
 
@@ -293,14 +292,6 @@ class PeriodicDiagram:
         circ_of_arc = bytes([index[find(a)] for a in range(na)])
         return _StateData(circ_of_arc, len(roots), bytes(roots))
 
-    def circles(self, bits: int) -> tuple[frozenset[int], ...]:
-        """Circles of a smoothing as arc-id sets, in canonical order."""
-        sd = self.state_data(bits)
-        groups: list[set[int]] = [set() for _ in range(sd.n_circ)]
-        for a, k in enumerate(sd.circ_of_arc):
-            groups[k].add(a)
-        return tuple(frozenset(g) for g in groups)
-
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -320,43 +311,8 @@ class PeriodicDiagram:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@dataclass(frozen=True)
-class KauffmanState:
-    """A choice of 0/1 smoothing at every crossing of a periodic diagram."""
-
-    diagram: PeriodicDiagram
-    bits: int
-
-    @classmethod
-    def from_assignment(cls, diagram: PeriodicDiagram, assignment) -> "KauffmanState":
-        bits = 0
-        vals = list(assignment)
-        if len(vals) != diagram.ncross:
-            raise ValidationError("assignment length must equal the crossing count")
-        for g, v in enumerate(vals):
-            if v not in (0, 1):
-                raise ValidationError("smoothings must be 0 or 1")
-            bits |= v << g
-        return cls(diagram, bits)
-
-    @property
-    def r(self) -> int:
-        return self.bits.bit_count()
-
-    @property
-    def circles(self) -> tuple[frozenset[int], ...]:
-        return self.diagram.circles(self.bits)
-
-
-def smooth(diagram: PeriodicDiagram, state) -> tuple[frozenset[int], ...]:
-    """Circles of the smoothed diagram, canonically ordered by least arc id."""
-    return _as_state(diagram, state).circles
-
-
-def isotropy(diagram: PeriodicDiagram, state) -> int:
-    """Order of the exact stabilizer of the state under the rotation."""
-    st = _as_state(diagram, state)
-    bits = st.bits
+def isotropy(diagram: PeriodicDiagram, bits: int) -> int:
+    """Order of the exact stabilizer of the smoothing `bits` under the rotation."""
     n = diagram.n
     cur = bits
     for k in range(1, n + 1):
@@ -364,47 +320,6 @@ def isotropy(diagram: PeriodicDiagram, state) -> int:
         if cur == bits:
             return n // k  # period k means stabilizer of order n/k
     raise AssertionError("rotation of order n must fix every state after n steps")
-
-
-def orbit_decomposition(diagram: PeriodicDiagram, r: int):
-    """Rotation orbits on weight-r states.
-
-    Returns a list of (representative state, isotropy order d, orbit size
-    n/d), representatives chosen as the least state bitmask in each orbit.
-    """
-    if not 0 <= r <= diagram.ncross:
-        raise ValidationError("weight out of range")
-    from itertools import combinations
-
-    seen: set[int] = set()
-    out = []
-    for positions in combinations(range(diagram.ncross), r):
-        bits = 0
-        for p in positions:
-            bits |= 1 << p
-        if bits in seen:
-            continue
-        orbit = {bits}
-        cur = diagram.rotate_state(bits)
-        while cur != bits:
-            orbit.add(cur)
-            cur = diagram.rotate_state(cur)
-        seen |= orbit
-        rep = KauffmanState(diagram, min(orbit))
-        d = diagram.n // len(orbit)
-        out.append((rep, d, len(orbit)))
-    total = sum(size for _, _, size in out)
-    if total != comb(diagram.ncross, r):
-        raise AssertionError("orbit sizes do not account for all states")
-    return out
-
-
-def _as_state(diagram: PeriodicDiagram, state) -> KauffmanState:
-    if isinstance(state, KauffmanState):
-        return state
-    if isinstance(state, int):
-        return KauffmanState(diagram, state)
-    return KauffmanState.from_assignment(diagram, state)
 
 
 # ---------------------------------------------------------------------------

@@ -420,17 +420,22 @@ def isotypic_complex(dims, psi, diff, d: int):
     permutation, and diff(i) is d_i or None, asked for only where both ends
     have a nonzero part.  Returns (gens, complex): gens[i] are the vectors of
     `isotypic_basis(psi(i), d)`, and the complex is d on them, in their coordinates.
+
+    The degrees go up one at a time.  Degree i's coordinates are read only
+    by d_{i-1}, so they are dropped once it is projected: no two degrees'
+    coordinates, and no differential, are held while a basis is built.
     """
-    gens, coords = {}, {}
-    for i in dims:
-        gens[i], coords[i] = isotypic_basis(psi(i), d)
-    iso_dims = {i: len(g) for i, g in gens.items() if g}
-    diffs = {}
-    for i in iso_dims:
-        if i + 1 in iso_dims:
-            m = diff(i)
-            if m is not None:
-                diffs[i] = project(m, gens[i], iso_dims[i + 1], coords[i + 1])
+    gens, iso_dims, diffs = {}, {}, {}
+    for i in sorted(dims):
+        gens[i], coords = isotypic_basis(psi(i), d)
+        if gens[i]:
+            iso_dims[i] = len(gens[i])
+            if i - 1 in iso_dims:
+                m = diff(i - 1)
+                if m is not None:
+                    diffs[i - 1] = project(m, gens[i - 1], iso_dims[i], coords)
+                del m
+        del coords
     return gens, FreeComplex(iso_dims, diffs)
 
 

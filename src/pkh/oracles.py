@@ -1,13 +1,13 @@
 """Closed-form answers used as independent oracles.
 
-Trivial-link label-space polynomials and their orbit decomposition, cyclic
-group cohomology with cyclotomic coefficients, restriction of cyclotomic
-modules, the full equivariant answer for crossingless trivial links, and
-the Khovanov polynomials of the two-strand torus links, classical and for
-the order-two symmetry.
+Trivial-link label-space polynomials and their orbit decomposition (with
+a brute-force enumeration they are tested against), cyclic group
+cohomology with cyclotomic coefficients, the full equivariant answer for
+crossingless trivial links, and the Khovanov polynomials of the two-strand
+torus links, classical and for the order-two symmetry.
 
-Nothing here touches the chain-level machinery, so agreement with the main
-engine is meaningful evidence rather than circular bookkeeping.
+Nothing here imports the engine, only `errors` and `polynomials`, so
+agreement with it is evidence rather than circular bookkeeping.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from math import comb, gcd
 
 from .errors import ValidationError
-from .homalg import SparseIntMatrix, cyclotomic, poly_divmod_exact, smith_normal_form
 from .polynomials import BiPolynomial, LaurentPoly
 
 # Size limits, so that an oversized request fails at once with one line
@@ -152,67 +151,6 @@ def brute_orbit_qdims(p: int, n: int, k: int) -> dict[int, LaurentPoly]:
     return {s: LaurentPoly(d) for s, d in out.items()}
 
 
-def cyclic_group_cohomology(p: int, m: int, s: int, degree: int) -> tuple[int, tuple[int, ...]]:
-    """Self-Ext of the cyclotomic module Z[xi_{p^s}] over Z[Z/p^m].
-
-    Degree 0 is the cyclotomic ring itself (free of rank phi(p^s)); odd
-    degrees vanish; positive even degrees are the quotient of Z[xi_{p^s}]
-    by the evaluation of the cofactor (t^{p^m}-1)/Phi_{p^s}(t) at the root,
-    computed exactly by Smith normal form.
-    """
-    if not _is_prime(p):
-        raise ValidationError("p must be prime")
-    if not 0 <= s <= m:
-        raise ValidationError("need 0 <= s <= m")
-    if degree < 0:
-        return (0, ())
-    if degree == 0:
-        return (euler_phi(p ** s), ())
-    if s == 0:
-        if degree % 2:
-            return (0, ())
-        return (0, (p ** m,))
-    if degree % 2:
-        return (0, ())
-    phi = cyclotomic(p ** s)
-    cof = poly_divmod_exact([-1] + [0] * (p ** m - 1) + [1], phi)
-    deg = len(phi) - 1
-    mat = _mult_mod_matrix(cof, phi, deg)
-    return (0, smith_normal_form(mat).nonunit)
-
-
-def _mult_mod_matrix(f: list[int], phi: list[int], deg: int) -> SparseIntMatrix:
-    """Matrix of multiplication by f on Z[t]/(phi), phi monic of degree deg."""
-    m = SparseIntMatrix(deg, deg)
-    col = [0] * deg
-    col[0] = 1
-    for j in range(deg):
-        acc = [0] * deg
-        base = list(col)
-        for coef in f:
-            if coef:
-                for i, v in enumerate(base):
-                    acc[i] += coef * v
-            base = _tmul(base, phi)
-        for i, v in enumerate(acc):
-            if v:
-                m.set(i, j, v)
-        col = _tmul(col, phi)
-    return m
-
-
-def _tmul(vec: list[int], phi: list[int]) -> list[int]:
-    deg = len(vec)
-    out = [0] * deg
-    lead = vec[deg - 1]
-    for i in range(deg - 1):
-        out[i + 1] = vec[i]
-    if lead:
-        for i in range(deg):
-            out[i] -= lead * phi[i]
-    return out
-
-
 def group_cohomology_cyclotomic(p: int, e: int, c: int, degree: int) -> tuple[int, tuple[int, ...]]:
     """H^degree of the cyclic group of order p^e with coefficients Z[xi_{p^c}].
 
@@ -232,17 +170,6 @@ def group_cohomology_cyclotomic(p: int, e: int, c: int, degree: int) -> tuple[in
             return (0, (p ** e,)) if e else (0, ())
         return (0, ())
     return (0, (p,)) if degree % 2 else (0, ())
-
-
-def restrict_cyclotomic(p: int, n: int, s: int, m: int) -> dict:
-    """Restriction of Z[xi_{p^(n-s)}] to the subgroup of order p^m."""
-    if not _is_prime(p):
-        raise ValidationError("p must be prime")
-    if not (0 <= s <= n and 0 <= m <= n):
-        raise ValidationError("need 0 <= s, m <= n")
-    if m <= s:
-        return {"kind": "trivial", "rank": euler_phi(p ** (n - s)), "multiplicity": 1}
-    return {"kind": "cyclotomic", "index": p ** (m - s), "multiplicity": p ** (n - m)}
 
 
 def trivial_link_ekh(p: int, n: int, k: int, f: int, u: int,
@@ -330,12 +257,3 @@ def torus_ekh2(n: int) -> tuple[BiPolynomial, BiPolynomial]:
         k = n // 2
         sector2 = BiPolynomial.monomial(2 * k, 6 * k)
     return khp - sector2, sector2
-
-
-def unknot_khp() -> BiPolynomial:
-    return BiPolynomial({(0, 1): 1, (0, -1): 1})
-
-
-def unlink_khp(components: int) -> BiPolynomial:
-    q = LaurentPoly.q_plus_qinv() ** components
-    return BiPolynomial.from_laurent(q)

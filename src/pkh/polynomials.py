@@ -30,9 +30,6 @@ class _Polynomial:
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
     def __add__(self, other):
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
@@ -67,10 +64,6 @@ class LaurentPoly(_Polynomial):
     @staticmethod
     def _powers(e: int) -> list[tuple[str, int]]:
         return [("q", e)]
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
-        return cls({exp: coeff})
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -136,22 +129,6 @@ class BiPolynomial(_Polynomial):
     @classmethod
     def monomial(cls, i: int, j: int, coeff: int = 1) -> "BiPolynomial":
         return cls({(i, j): coeff})
-
-    @classmethod
-    def from_laurent(cls, p: LaurentPoly, t_exp: int = 0) -> "BiPolynomial":
-        return cls({(t_exp, e): c for e, c in p.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return BiPolynomial({k: c * other for k, c in self.coeffs.items()})
-        out: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return BiPolynomial(out)
-
-    __rmul__ = __mul__
 
     def at_t_minus_one(self) -> LaurentPoly:
         out: dict[int, int] = {}

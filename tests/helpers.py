@@ -2,9 +2,11 @@
 
 Dense views of sparse matrices, the rank over Q and the determinant by
 dense `Fraction` elimination, invariant factors from determinantal divisors,
-the product and the long division of integer polynomials, the rational
-part and the mirror of a graded group, equivariant groups compared over a
-window, the chain-level tiling of the orbit-resolution filtration, and
+the product and the long division of integer polynomials, the product of
+polynomials in t and q, the rank of each chain group of a complex, the
+rational part and the mirror of a graded group, equivariant groups
+compared over a window, the rotation orbits of the smoothings of one
+weight, the chain-level tiling of the orbit-resolution filtration, and
 references for the isotypic projection: the full-row product, the
 eigenlattices of a signed permutation walked cycle by cycle, and the slice
 on them; and a reference for the action check, comparing d(psi x) with
@@ -16,8 +18,10 @@ from itertools import combinations
 from math import gcd
 
 from pkh.complexes import GradedAbGroup, build_complex
+from pkh.diagram import isotropy
 from pkh.equivariant import EquivariantGroups, equivariant_reduce
 from pkh.homalg import FreeComplex, SparseIntMatrix, isotypic_complex
+from pkh.polynomials import BiPolynomial
 from pkh.spectral import OrbitResolutionBicomplex, resolve_diagram
 
 
@@ -124,6 +128,15 @@ def poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def bipoly_mul(a: BiPolynomial, b: BiPolynomial) -> BiPolynomial:
+    """The product of two polynomials in t and q."""
+    out: dict[tuple[int, int], int] = {}
+    for (i1, j1), c1 in a.coeffs.items():
+        for (i2, j2), c2 in b.coeffs.items():
+            out[(i1 + i2, j1 + j2)] = out.get((i1 + i2, j1 + j2), 0) + c1 * c2
+    return BiPolynomial(out)
+
+
 def divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     """(quotient, remainder) of a by the monic b in Z[t] by long division, untrimmed."""
     r = list(a)
@@ -140,6 +153,11 @@ def rational(groups: GradedAbGroup) -> GradedAbGroup:
     return GradedAbGroup.from_dict({k: (free, ()) for k, (free, _) in groups.groups})
 
 
+def chain_dims(cx) -> dict[tuple[int, int], int]:
+    """The rank of each chain group of a `DiagramComplex`, keyed by (i, j)."""
+    return {(i, j): rank for j in cx.quantum_range() for i, rank in cx.slice(j).dims.items()}
+
+
 def mirror(groups: GradedAbGroup) -> GradedAbGroup:
     """The groups of the mirror image: (i, j) -> (-i, -j)."""
     return GradedAbGroup(tuple(sorted(((-i, -j), val) for (i, j), val in groups.groups)))
@@ -152,16 +170,32 @@ def same_groups(a: EquivariantGroups, b: EquivariantGroups, window: int | None =
     return all(a.group(*k) == b.group(*k) for k in keys)
 
 
+def rotation_orbits(d, r):
+    """(least smoothing, its isotropy, orbit size) per rotation orbit of the
+    weight-r smoothings, walked with `rotate_state`."""
+    seen, out = set(), []
+    for bits in range(1 << d.ncross):
+        if bits.bit_count() != r or bits in seen:
+            continue
+        orbit = [bits]
+        while (nxt := d.rotate_state(orbit[-1])) != bits:
+            assert nxt.bit_count() == r  # the rotation keeps the weight
+            orbit.append(nxt)
+        seen.update(orbit)
+        out.append((min(orbit), isotropy(d, bits), len(orbit)))
+    return out
+
+
 def resolutions_tile(bic: OrbitResolutionBicomplex) -> bool:
     """Chain-level bookkeeping: the shifted resolved complexes tile CKh."""
     want: dict[tuple[int, int], int] = {}
     for p in range(len(bic.X) + 1):
         for alpha in bic.resolutions(p):
             Dres, c = resolve_diagram(bic.diagram, alpha)
-            for (i, j), dim in build_complex(Dres).dims().items():
+            for (i, j), dim in chain_dims(build_complex(Dres)).items():
                 key = (i + c + p, j + p + 3 * c + len(bic.X))
                 want[key] = want.get(key, 0) + dim
-    return want == bic.complex.dims()
+    return want == chain_dims(bic.complex)
 
 
 def project_full_rows(d: SparseIntMatrix, gens: list[dict[int, int]], nrows: int) -> SparseIntMatrix:

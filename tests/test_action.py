@@ -1,12 +1,12 @@
 from collections import Counter
 
 from pkh import corpus
-from pkh.action import (_action_failure, chain_module_decomposition, fixed_state_sign,
-                        s_exponent, verify_module_structure)
+from pkh.action import _action_failure, fixed_state_sign, s_exponent, verify_module_structure
 from pkh.complexes import SliceComplex, build_complex
+from pkh.diagram import isotropy
 from pkh.oracles import qdim_M
 from pkh.polynomials import LaurentPoly
-from helpers import reference_action_failure
+from helpers import chain_dims, reference_action_failure, rotation_orbits
 
 
 def with_psi(sl, i, table):
@@ -112,13 +112,12 @@ class TestFixedStateSign:
         assert s_exponent(2, 2, 2, 0) == 1
         assert s_exponent(2, 0, 2, 2) == 1
         d = diagrams("hopf")
-        assert fixed_state_sign(d, (1, 1)) == -1
-        assert fixed_state_sign(d, (0, 0)) == 1
+        assert fixed_state_sign(d, 0b11) == -1
+        assert fixed_state_sign(d, 0b00) == 1
 
     def test_odd_order_always_positive_for_d1(self, diagrams):
         d = diagrams("borromean_n3")
         for bits in range(1 << d.ncross):
-            from pkh.diagram import isotropy
             if isotropy(d, bits) == 1:
                 assert fixed_state_sign(d, bits) == 1
 
@@ -127,7 +126,6 @@ class TestFixedStateSign:
         for name in ("hopf", "unknot2_n2", "borromean_n3", "t4_2"):
             d = diagrams(name)
             cx = build_complex(d)
-            from pkh.diagram import isotropy
             for j in cx.quantum_range():
                 sl = cx.slice(j)
                 for i, basis in sl.basis.items():
@@ -143,47 +141,52 @@ class TestFixedStateSign:
                             assert sign == fixed_state_sign(d, bits)
 
 
+def label_qdim(d, bits):
+    """Graded rank of the labellings of a smoothing: (q + 1/q)^circles, shifted
+    to the quantum grading r + n_plus - 2 n_minus of its weight r."""
+    shift = bits.bit_count() + d.n_plus - 2 * d.n_minus
+    return (LaurentPoly.q_plus_qinv() ** d.state_data(bits).n_circ).shift(shift)
+
+
 class TestChainDecomposition:
+    """The weight-r chain group as a cyclic module, read off the smoothings:
+    a block per rotation orbit, of isotropy h and size n/h, with the twist
+    parity of `s_exponent` and the labellings of its least smoothing."""
+
     def test_hopf_weight_one(self, diagrams):
         d = diagrams("hopf")
-        entries = chain_module_decomposition(d, 1)
-        assert len(entries) == 1
-        e = entries[0]
-        assert (e["d"], e["size"], e["twist"]) == (1, 2, 0)
-        assert e["qdim"] == LaurentPoly({2: 1, 4: 1})
+        [(rep, h, size)] = rotation_orbits(d, 1)
+        assert (h, size, s_exponent(d.n, 1, h, d.n_minus) & 1) == (1, 2, 0)
+        assert label_qdim(d, rep) == LaurentPoly({2: 1, 4: 1})
 
     def test_hopf_weight_two_twist(self, diagrams):
-        entries = chain_module_decomposition(diagrams("hopf"), 2)
-        assert len(entries) == 1
-        assert entries[0]["d"] == 2 and entries[0]["twist"] == 1
+        d = diagrams("hopf")
+        [(rep, h, size)] = rotation_orbits(d, 2)
+        assert h == 2 and s_exponent(d.n, 2, h, d.n_minus) & 1 == 1
 
     def test_total_rank_matches_chain_group(self, diagrams, complexes):
         for name in ("hopf", "unknot2_n2", "borromean_n3", "t4_2"):
             d = diagrams(name)
-            cx = complexes(name)
-            dims = cx.dims()
+            dims = chain_dims(complexes(name))
             for r in range(d.ncross + 1):
                 i = r - d.n_minus
                 total = LaurentPoly.zero()
-                for e in chain_module_decomposition(d, r):
-                    total = total + e["size"] * e["qdim"]
+                for rep, _, size in rotation_orbits(d, r):
+                    total = total + size * label_qdim(d, rep)
                 want = LaurentPoly({j: n for (ii, j), n in dims.items() if ii == i})
-                assert total == want
+                assert total == want, (name, r)
 
     def test_odd_order_has_no_twist(self, diagrams):
         d = diagrams("borromean_n3")
         for r in range(d.ncross + 1):
-            for e in chain_module_decomposition(d, r):
-                assert e["twist"] == 0
+            for _, h, _ in rotation_orbits(d, r):
+                assert s_exponent(d.n, r, h, d.n_minus) & 1 == 0
 
     def test_trivial_link_label_orbit_refinement(self, diagrams):
         # the fixed-state label space of the 3-periodic trivial link splits
         # into one isotropy-3 block and one free block of label orbits
         d = diagrams("trivial_p3_k1_f0")
-        entries = chain_module_decomposition(d, 0)
-        assert len(entries) == 1
-        e = entries[0]
-        assert e["d"] == 3
+        [(rep, h, size)] = rotation_orbits(d, 0)
+        assert (h, size) == (3, 1)
         want = qdim_M(3, 1, 0, 1) + 3 * qdim_M(3, 1, 1, 1)
-        assert e["qdim"] == want
-        assert e["qdim"] == LaurentPoly.q_plus_qinv() ** 3
+        assert label_qdim(d, rep) == want == LaurentPoly.q_plus_qinv() ** 3

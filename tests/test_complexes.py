@@ -7,15 +7,14 @@ import pytest
 
 from pkh import corpus
 from pkh.cli import main
-from pkh.complexes import (GradedAbGroup, SliceComplex, build_complex, edge_sign,
+from pkh.complexes import (GradedAbGroup, SliceComplex, build_complex,
                            graded_euler_characteristic, khovanov_homology,
                            khovanov_polynomial)
 from pkh.diagram import diagram_from_dict
-from pkh.errors import ValidationError
 from pkh.homalg import (CancellingComplex, FreeComplex, OrbitCancellingComplex, SparseIntMatrix,
                         reduce_unit_pivots)
 from pkh.polynomials import BiPolynomial, LaurentPoly
-from helpers import fraction_rank, mirror, rational
+from helpers import chain_dims, fraction_rank, mirror, rational
 from test_moves import MAX_CROSSINGS, closures
 
 
@@ -59,33 +58,46 @@ class TestFrobeniusStructure:
         assert sl.diff(0).is_zero()
 
 
+def edge_entries(cx):
+    """(source smoothing, target smoothing, entry) of every entry of every d_i."""
+    for j in cx.quantum_range():
+        sl = cx.slice(j)
+        basis = sl.basis
+        for i in basis:
+            if i + 1 in basis:
+                for r, c, v in sl.diff(i).entries():
+                    yield basis[i][c][0], basis[i + 1][r][0], v
+
+
 class TestEdgeSign:
-    def test_hopf_cases(self, diagrams):
-        d = diagrams("hopf")
-        assert edge_sign(d, (0, 0), 0) == 1
-        assert edge_sign(d, (0, 1), 0) == -1
-        assert edge_sign(d, (0, 0), 1) == 1
-        assert edge_sign(d, (1, 0), 1) == 1  # last crossing is always +1
+    """Every entry of the differential lies on an edge of the cube, flipping
+    one 0-smoothed crossing c, and is the sign (-1)^(1-smoothed crossings
+    after c): the algebra's structure constants are all 1."""
 
-    def test_flip_last_crossing(self, diagrams):
-        d = diagrams("t4_2")
-        last = d.ncross - 1
-        for bits in range(0, 1 << last, 7):
-            assert edge_sign(d, bits, last) == 1
+    def test_hopf_cases(self, complexes):
+        signs = set(edge_entries(complexes("hopf")))
+        assert signs == {(0b00, 0b01, 1), (0b10, 0b11, -1), (0b00, 0b10, 1), (0b01, 0b11, 1)}
 
-    def test_already_smoothed(self, diagrams):
-        with pytest.raises(ValidationError):
-            edge_sign(diagrams("hopf"), (1, 0), 0)
+    def test_flip_last_crossing(self, diagrams, complexes):
+        last = 1 << (diagrams("t4_2").ncross - 1)
+        flips = [v for src, tgt, v in edge_entries(complexes("t4_2")) if tgt ^ src == last]
+        assert flips and all(v == 1 for v in flips)
+
+    def test_already_smoothed(self, complexes):
+        for src, tgt, v in edge_entries(complexes("borromean_n3")):
+            flip = tgt ^ src
+            assert src & flip == 0 and flip.bit_count() == 1, (src, tgt)
+            assert v == (-1) ** (src >> flip.bit_length()).bit_count()
 
 
 class TestComplexStructure:
     def test_unknot_concentrated_in_degree_zero(self, complexes):
         cx = complexes("unknot0")
-        assert cx.dims() == {(0, 1): 1, (0, -1): 1}
+        assert chain_dims(cx) == {(0, 1): 1, (0, -1): 1}
 
     def test_hopf_column_dimensions(self, complexes):
         cx = complexes("hopf")
-        dims = cx.dims()
+        dims = chain_dims(cx)
         # (q+1/q)^2 q^2, twice (q+1/q) q^3 and (q+1/q)^2 q^4
         assert {j: n for (i, j), n in dims.items() if i == 0} == {0: 1, 2: 2, 4: 1}
         assert {j: n for (i, j), n in dims.items() if i == 1} == {2: 2, 4: 2}
@@ -112,8 +124,8 @@ class TestComplexStructure:
         for name in ("hopf", "trefoil", "unknot2_n2", "borromean_n3"):
             cx = complexes(name)
             chain = LaurentPoly.zero()
-            for (i, j), n in cx.dims().items():
-                term = LaurentPoly.monomial(j, n)
+            for (i, j), n in chain_dims(cx).items():
+                term = LaurentPoly({j: n})
                 chain = chain + (term if i % 2 == 0 else -term)
             assert chain == graded_euler_characteristic(diagrams(name))
 
@@ -151,7 +163,7 @@ def reference_diff(D, src, tgt_index, leads=None):
                 continue
             tbits = bits | (1 << c)
             td = D.state_data(tbits)
-            sign = edge_sign(D, bits, c)
+            sign = (-1) ** (bits >> (c + 1)).bit_count()  # 1-smoothed crossings after c
             arcs = [D.slot_to_arc[e] for e in D.crossing_slots(c)]
             s_at = {sd.circ_of_arc[a] for a in arcs}
             t_at = {td.circ_of_arc[a] for a in arcs}

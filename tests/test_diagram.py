@@ -4,9 +4,9 @@ from math import comb
 import pytest
 
 from pkh import corpus
-from pkh.diagram import (KauffmanState, isotropy, orbit_decomposition,
-                         parse_diagram, smooth)
+from pkh.diagram import isotropy, parse_diagram
 from pkh.errors import ParseError
+from helpers import rotation_orbits
 
 
 def as_text(spec):
@@ -75,28 +75,34 @@ class TestParsing:
             assert again.to_dict() == d.to_dict()
 
 
+def n_circ(d, bits):
+    return d.state_data(bits).n_circ
+
+
 class TestSmoothing:
+    # a smoothing is a bit mask: bit g is the smoothing at crossing g
     def test_hopf_circle_counts(self, diagrams):
         d = diagrams("hopf")
-        assert len(smooth(d, (0, 0))) == 2
-        assert len(smooth(d, (0, 1))) == 1
-        assert len(smooth(d, (1, 0))) == 1
-        assert len(smooth(d, (1, 1))) == 2
+        assert [n_circ(d, bits) for bits in range(4)] == [2, 1, 1, 2]
 
     def test_crossingless_unknot(self, diagrams):
-        assert len(smooth(diagrams("unknot0"), ())) == 1
-        assert len(smooth(diagrams("unknot0_n2"), ())) == 1
+        assert n_circ(diagrams("unknot0"), 0) == 1
+        assert n_circ(diagrams("unknot0_n2"), 0) == 1
 
     def test_two_crossing_unknot_counts(self, diagrams):
         d = diagrams("unknot2_n2")
-        counts = [len(smooth(d, [b >> 1, b & 1])) for b in range(4)]
-        assert sorted(counts) == [1, 2, 2, 3]
-        assert len(smooth(d, (0, 0))) == 3
+        assert sorted(n_circ(d, bits) for bits in range(4)) == [1, 2, 2, 3]
+        assert n_circ(d, 0) == 3
 
     def test_canonical_order(self, diagrams):
-        d = diagrams("hopf")
-        circles = smooth(d, (0, 0))
-        assert [min(c) for c in circles] == sorted(min(c) for c in circles)
+        # circles ascend by least arc id, and rep_arcs holds each one's least arc
+        for name in ("hopf", "unknot2_n2", "borromean_n3"):
+            d = diagrams(name)
+            for bits in range(1 << d.ncross):
+                sd = d.state_data(bits)
+                least = [min(a for a, k in enumerate(sd.circ_of_arc) if k == c)
+                         for c in range(sd.n_circ)]
+                assert list(sd.rep_arcs) == least == sorted(least), (name, bits)
 
     def test_rotation_preserves_circle_count(self, diagrams):
         d = diagrams("t5_2")
@@ -115,18 +121,14 @@ class TestSmoothing:
         original = diagrams("unknot2_n2")
         assert shuffled.signs == original.signs
         for bits in range(4):
-            assert len(smooth(shuffled, [bits >> 1, bits & 1])) == \
-                len(smooth(original, [bits >> 1, bits & 1]))
+            assert n_circ(shuffled, bits) == n_circ(original, bits)
         assert khovanov_homology(shuffled) == khovanov_homology(original)
 
 
 class TestIsotropy:
     def test_symmetric_and_asymmetric_states(self, diagrams):
         d = diagrams("unknot2_n2")
-        assert isotropy(d, (0, 0)) == 2
-        assert isotropy(d, (1, 1)) == 2
-        assert isotropy(d, (0, 1)) == 1
-        assert isotropy(d, (1, 0)) == 1
+        assert [isotropy(d, bits) for bits in range(4)] == [2, 1, 1, 2]
 
     def test_n1_always_trivial(self, diagrams):
         d = diagrams("trefoil")
@@ -137,9 +139,7 @@ class TestIsotropy:
         from math import gcd
         d = diagrams("borromean_n3")
         for bits in range(1 << d.ncross):
-            st = KauffmanState(d, bits)
-            dd = isotropy(d, st)
-            assert gcd(d.n, st.r) % dd == 0
+            assert gcd(d.n, bits.bit_count()) % isotropy(d, bits) == 0
 
 
 class TestOrbits:
@@ -147,18 +147,15 @@ class TestOrbits:
         for name in ("hopf", "unknot2_n2", "borromean_n3", "t4_2"):
             d = diagrams(name)
             for r in range(d.ncross + 1):
-                orbits = orbit_decomposition(d, r)
+                orbits = rotation_orbits(d, r)
                 assert sum(size for _, _, size in orbits) == comb(d.ncross, r)
+                # an orbit of n/h smoothings has a stabilizer of order h
+                assert all(iso * size == d.n for _, iso, size in orbits), (name, r)
 
     def test_trivial_link_r0(self, diagrams):
-        d = diagrams("trivial_p3_k1_f0")
-        orbits = orbit_decomposition(d, 0)
-        assert len(orbits) == 1
-        assert orbits[0][1] == 3 and orbits[0][2] == 1
+        assert rotation_orbits(diagrams("trivial_p3_k1_f0"), 0) == [(0, 3, 1)]
 
     def test_hopf_orbits(self, diagrams):
         d = diagrams("hopf")
-        r1 = orbit_decomposition(d, 1)
-        assert len(r1) == 1 and r1[0][1] == 1 and r1[0][2] == 2
-        r2 = orbit_decomposition(d, 2)
-        assert len(r2) == 1 and r2[0][1] == 2 and r2[0][2] == 1
+        assert rotation_orbits(d, 1) == [(0b01, 1, 2)]
+        assert rotation_orbits(d, 2) == [(0b11, 2, 1)]

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,7 +10,7 @@ from pkh.equivariant import rational_equivariant
 from pkh.errors import InvariantError
 from pkh.homalg import (FreeComplex, OrbitCancellingComplex, SparseIntMatrix,
                         cofactor, cyclotomic, eval_group_ring, int_rank,
-                        isotypic_basis, orbits, project,
+                        isotypic_basis, isotypic_complex, orbits, project,
                         rational_idempotents, reduce_unit_pivots,
                         smith_normal_form)
 from helpers import (determinantal_factors, divmod_monic, fraction_rank, from_dense,
@@ -829,6 +830,23 @@ class TestIsotypicProjection:
                     if iso.diffs:
                         seen.add(d)
         assert parts == {1, 2, 3, 4} and seen == {1, 2, 3}
+
+    def test_isotypic_complex_holds_one_degree_of_coordinates(self):
+        """The Phi_2 part of the whole `t6_2` slice j = 14 (3,476 generators)
+        peaks at no more than 2.0 MB, with the diagram's tables warm: degree
+        i's coordinates are dropped once d_{i-1} is projected, and no
+        differential is alive while a basis is built.  Building every
+        degree's coordinates first peaked at 2.34 MB."""
+        sl = build_complex(corpus.build("t6_2")).slice(14)
+        isotypic_complex(sl.dims, sl.psi, sl.diff, 2)  # the edge and labelling tables
+        tracemalloc.start()
+        try:
+            gens, fc = isotypic_complex(sl.dims, sl.psi, sl.diff, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(sl.dims.values()) == 3476 and fc.dims
+        assert peak <= 2_000_000
 
     def test_rational_equivariant_matches_full_row_ranks(self, diagrams, complexes):
         """Per reduced slice, the isotypic ranks of the full-row projection."""

@@ -6,7 +6,7 @@ from pkh.errors import ValidationError
 from pkh.homalg import SparseIntMatrix
 from pkh.spectral import (build_filtration, crossing_orbit, e1_oracle, einf_abutment_ok,
                           resolve_diagram, run_pages)
-from helpers import rational, resolutions_tile
+from helpers import bipoly_mul, rational, resolutions_tile
 
 
 class TestResolvedDiagrams:
@@ -29,8 +29,8 @@ class TestResolvedDiagrams:
         res, c = resolve_diagram(d, {x: 0 for x in X})
         assert c == 0
         got = khovanov_polynomial(res)
-        want = khovanov_polynomial(diagrams("t3_2_flat")) * khovanov_polynomial(
-            diagrams("unknot0"))
+        want = bipoly_mul(khovanov_polynomial(diagrams("t3_2_flat")),
+                          khovanov_polynomial(diagrams("unknot0")))
         assert got == want
         # one-resolving both gives the next torus link down
         res11, c11 = resolve_diagram(d, {x: 1 for x in X})
