@@ -22,8 +22,7 @@ from .equivariant import (equivariant_polynomials, ext_groups,
 from .errors import InvariantError, ParseError, PkhError, ValidationError
 from .homalg import rational_idempotents
 from .oracles import poly_P, torus_ekh2, torus_khp, trivial_link_ekh
-from .spectral import (build_filtration, crossing_orbit, einf_abutment_ok, filtered_slice,
-                       run_pages)
+from .spectral import crossing_orbit, einf_abutment_ok, filtered_slice, run_pages
 
 USAGE_EXIT, INVARIANT_EXIT, IO_EXIT = 1, 2, 3
 
@@ -163,26 +162,17 @@ def cmd_poly(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.which == "torus":
-        if args.n is None:
-            raise ValidationError("oracle torus needs --n")
         khp = torus_khp(args.n)
         s1, s2 = torus_ekh2(args.n)
         payload = {"n": args.n, "khp": str(khp),
                    "khp_2_1": str(s1), "khp_2_2": str(s2)}
     elif args.which == "poly-p":
-        if args.p is None or args.n is None:
-            raise ValidationError("oracle poly-p needs --p and --n")
         payload = {"p": args.p, "n": args.n, "poly": str(poly_P(args.p, args.n))}
-    elif args.which == "trivial":
-        need = (args.p, args.n, args.k, args.f, args.u)
-        if any(v is None for v in need):
-            raise ValidationError("oracle trivial needs --p --n --k --f --u")
+    else:
         groups = trivial_link_ekh(args.p, args.n, args.k, args.f, args.u, args.window)
         payload = {"p": args.p, "n": args.n, "k": args.k, "f": args.f,
                    "u": args.u, "window": args.window,
                    "groups": _groups(sorted(groups.items()))}
-    else:
-        raise ValidationError(f"unknown oracle {args.which!r}")
     _emit(payload, args.format)
     return 0
 
@@ -198,15 +188,15 @@ def cmd_verify(args) -> int:
         checks.append(entry)
 
     # one walk over the slices: the pages take over the matrices the checks ran on
-    bic = build_filtration(D, crossing_orbit(D, 0)) if D.ncross else None
+    X = crossing_orbit(D, 0) if D.ncross else None
     slices = {}
 
     def to_pages(sl, fc):
-        fs = filtered_slice(bic, sl, fc)
+        fs = filtered_slice(X, sl, fc)
         if fs is not None:
             slices[sl.j] = fs
 
-    rep = verify_module_structure(D, None if bic is None else to_pages)
+    rep = verify_module_structure(D, None if X is None else to_pages)
     record("differential_squares_to_zero", rep["composes"])
     record("action_is_chain_automorphism", rep["acts"],
            None if rep["acts"] else {"check": rep["check"], "witness": rep["witness"]})
@@ -216,8 +206,8 @@ def cmd_verify(args) -> int:
     idem = rational_idempotents(D.n)
     tot = [sum(e[k] for e in idem.values()) for k in range(D.n)]
     record("idempotents_sum_to_one", tot[0] == 1 and all(v == 0 for v in tot[1:]))
-    if bic is not None:
-        pages = run_pages(D, bic.X, bic=bic, slices=slices)
+    if X is not None:
+        pages = run_pages(D, X, slices=slices)
         record("spectral_sequence_abuts", einf_abutment_ok(D, pages))
     ok = all(c["pass"] for c in checks)
     _emit({"ok": ok, "checks": checks}, args.format)
@@ -261,15 +251,15 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("oracle", help="closed-form oracle values")
-    p.add_argument("which", choices=("torus", "trivial", "poly-p"))
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--f", type=int, default=None)
-    p.add_argument("--u", type=int, default=None)
-    p.add_argument("--window", type=int, default=6)
     p.set_defaults(func=cmd_oracle)
+    oracles = p.add_subparsers(dest="which", required=True)
+    for which, needs in (("torus", "n"), ("poly-p", "p n"), ("trivial", "p n k f u")):
+        o = oracles.add_parser(which)
+        common(o, needs_file=False)
+        for name in needs.split():
+            o.add_argument(f"--{name}", type=int, required=True)
+        if which == "trivial":
+            o.add_argument("--window", type=int, default=6)
 
     p = sub.add_parser("verify", help="run the invariant suite on a diagram")
     common(p)

@@ -22,8 +22,8 @@ from .polynomials import BiPolynomial, LaurentPoly
 MAX_ORDER = 4096  # p^n, and n of T(n, 2): poly_P at p^n = 4096 takes 1.7 s and prints 3.6 MB
 MAX_CIRCLES = 16  # k p^n + f of a trivial link: its torsion is listed with multiplicity,
 #                   up to 3.3 M factors at 16 circles and window 200
-MAX_WINDOW = 200  # hyper-Ext degrees: ekh t6_2 --d 2 costs 0.8 s at window 40 and
-#                   2.7 s and 81 MB at 160, growing linearly
+MAX_WINDOW = 200  # degrees of a trivial link's listing, which grows linearly in the
+#                   window: the 3.3 M factors above are at window 200
 
 
 def _is_prime(p: int) -> bool:

@@ -3,9 +3,11 @@
 Resolving a chosen set X of crossings in all 2^|X| ways assembles the
 Khovanov complex into a bicomplex whose column filtration (by the number
 of 1-resolutions used on X) yields a spectral sequence converging to
-Khovanov homology.  When X is a rotation orbit the filtration is by
-subcomplexes of modules over the group ring, and projecting a 2-periodic
-diagram onto an isotypic sector gives the equivariant pages.
+Khovanov homology.  A generator's filtration level is read off its
+smoothing: the number of 1-smoothings on X, (bits & mask(X)).bit_count().
+When X is a rotation orbit the filtration is by subcomplexes of modules
+over the group ring, and projecting a 2-periodic diagram onto an
+isotypic sector gives the equivariant pages.
 
 Pages are computed over Q by the elementary filtered-complex algorithm:
 every E_r entry and d_r rank is a difference of kernel dimensions of
@@ -14,10 +16,10 @@ integer matrices, evaluated exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import DiagramComplex, build_complex, khovanov_homology
+from .complexes import build_complex, khovanov_homology
 from .diagram import Crossing, PeriodicDiagram, QuotientTangle
 from .errors import InvariantError, ValidationError
 from .homalg import CancellingComplex, SparseIntMatrix, int_rank, isotypic_complex
@@ -229,48 +231,6 @@ def _propagate_directions(D, kept, merged, end_arc):
 
 
 @dataclass
-class OrbitResolutionBicomplex:
-    """Filtration data of the Khovanov complex by 1-resolutions on X."""
-
-    diagram: PeriodicDiagram
-    X: tuple[int, ...]
-    complex: DiagramComplex = field(init=False)
-    xmask: int = field(init=False)
-
-    def __post_init__(self):
-        D = self.diagram
-        for c in self.X:
-            if not 0 <= c < D.ncross:
-                raise ValidationError("X must consist of crossings of the diagram")
-        if len(set(self.X)) != len(self.X):
-            raise ValidationError("X has repeated crossings")
-        self.complex = build_complex(D)
-        self.xmask = 0
-        for c in self.X:
-            self.xmask |= 1 << c
-
-    def level(self, bits: int) -> int:
-        return (bits & self.xmask).bit_count()
-
-    def is_invariant(self) -> bool:
-        D = self.diagram
-        rot = 0
-        for c in self.X:
-            t = c % D.ncross_t
-            copy = c // D.ncross_t
-            rot |= 1 << (((copy + 1) % D.n) * D.ncross_t + t)
-        return rot == self.xmask
-
-    def resolutions(self, level: int):
-        """All resolutions of X with `level` one-smoothings."""
-        for ones in combinations(self.X, level):
-            alpha = {c: 0 for c in self.X}
-            for c in ones:
-                alpha[c] = 1
-            yield alpha
-
-
-@dataclass
 class SSPage:
     """One page: entry dimensions and outgoing differential ranks.
 
@@ -361,74 +321,68 @@ class _FilteredSlice:
         return val
 
 
-def filtered_slice(bic: OrbitResolutionBicomplex, sl, fc) -> _FilteredSlice | None:
-    """The page oracle of j-slice `sl`, or None for an empty slice.
+def filtered_slice(X: tuple[int, ...], sl, fc, gens=None) -> _FilteredSlice | None:
+    """The page oracle of j-slice `sl` filtered by 1-smoothings on X, or None
+    for an empty complex.
 
-    `fc` is the slice's complex as `to_free_complex` builds it, and its
+    `fc` is the slice's complex, as `to_free_complex` builds it or, with
+    `gens`, as `isotypic_complex` builds it on the vectors `gens`; its
     matrices are taken over uncopied: `verify` hands over the ones its
-    checks ran on, so each is built once.
+    checks ran on, so each is built once.  A generator's level is its
+    smoothing's count of 1-smoothings on X; an isotypic vector takes the
+    level of its least id, which is every id's level when X is invariant.
     """
     if not fc.dims:
         return None
-    levels = {i: _levels(bic, sl, i) for i in fc.dims}
-    return _FilteredSlice(fc.dims, levels, fc.diffs, len(bic.X))
-
-
-def _levels(bic: OrbitResolutionBicomplex, sl, i: int) -> list[int]:
-    """The level of each degree-i generator of `sl`: one per smoothing block."""
-    out = []
-    for bits, size in sl.smoothings(i):
-        out += [bic.level(bits)] * size
-    return out
-
-
-def _build_slices(bic: OrbitResolutionBicomplex, sector: int | None):
-    """One `_FilteredSlice` per nonzero j-slice, each slice built in full by
-    `filtered_slice`, or with a sector its Phi_sector part: X is invariant,
-    so each isotypic vector has one level."""
-    cx = bic.complex
-    slices = {}
-    for j in cx.quantum_range():
-        sl = cx.slice(j)
-        if not sl.dims:
-            continue
-        if sector is None:
-            fs = filtered_slice(bic, sl, sl.to_free_complex())
-        else:
-            gens, fc = isotypic_complex(sl.dims, sl.psi, sl.diff, sector)
-            levels = {}
-            for i in fc.dims:
-                full = _levels(bic, sl, i)
-                levels[i] = [full[min(v)] for v in gens[i]]
-            fs = _FilteredSlice(fc.dims, levels, fc.diffs, len(bic.X)) if fc.dims else None
-        if fs is not None:
-            slices[j] = fs
-    return slices
+    mask = sum(1 << c for c in X)
+    levels = {}
+    for i in fc.dims:
+        full = []
+        for bits, size in sl.smoothings(i):
+            full += [(bits & mask).bit_count()] * size
+        levels[i] = full if gens is None else [full[min(v)] for v in gens[i]]
+    return _FilteredSlice(fc.dims, levels, fc.diffs, len(X))
 
 
 def run_pages(diagram: PeriodicDiagram, X, sector: int | None = None,
-              bic: OrbitResolutionBicomplex | None = None,
               slices: dict[int, _FilteredSlice] | None = None) -> list[SSPage]:
     """Pages E_1 .. E_infinity of the orbit-resolution filtration over Q.
 
     With a sector d | n (n = 2 only, and X an orbit), the filtration is first
     projected onto its Phi_d-isotypic part: the invariant or anti-invariant part.
-    `slices`, j -> `filtered_slice` of `bic`, are used as given, and
-    otherwise built here: `verify` builds them in its check pass.
+    `slices`, j -> `filtered_slice` of X, are used as given, and otherwise
+    built here: `verify` builds them in its check pass.
     """
-    bic = bic or build_filtration(diagram, X)
+    X = tuple(X)
+    if not all(0 <= c < diagram.ncross for c in X):
+        raise ValidationError("X must consist of crossings of the diagram")
+    if len(set(X)) != len(X):
+        raise ValidationError("X has repeated crossings")
     if sector is not None:
         if sector < 1 or diagram.n % sector:
             raise ValidationError(f"sector {sector} does not divide the rotation order {diagram.n}")
         if diagram.n != 2:
             raise ValidationError("sectors are defined for rotation order 2")
-        if not bic.is_invariant():
+        mask = sum(1 << c for c in X)
+        if diagram.rotate_state(mask) != mask:
             raise ValidationError("sector projection needs an invariant X")
     if slices is None:
-        slices = _build_slices(bic, sector)
-    L = len(bic.X)
+        slices = {}
+        cx = build_complex(diagram)
+        for j in cx.quantum_range():
+            sl = cx.slice(j)
+            if not sl.dims:
+                continue
+            if sector is None:
+                fs = filtered_slice(X, sl, sl.to_free_complex())
+            else:
+                gens, fc = isotypic_complex(sl.dims, sl.psi, sl.diff, sector)
+                fs = filtered_slice(X, sl, fc, gens)
+            if fs is not None:
+                slices[j] = fs
+    L = len(X)
     pages = []
-    for r in list(range(1, L + 2)) + [L + 2]:
+    for r in range(1, L + 3):
         entries: dict[tuple[int, int, int], int] = {}
         d_ranks: dict[tuple[int, int, int], int] = {}
         for j, fs in slices.items():
@@ -443,22 +397,18 @@ def run_pages(diagram: PeriodicDiagram, X, sector: int | None = None,
                           - fs.z(m, p + 1, p + r) + fs.z(m, p + 1, p + r + 1))
                     if rk:
                         d_ranks[(p, q, j)] = rk
-        pages.append(SSPage(L + 2 if r > L + 1 else r, entries, d_ranks))
+        pages.append(SSPage(r, entries, d_ranks))
     return pages
 
 
-def build_filtration(diagram: PeriodicDiagram, X) -> OrbitResolutionBicomplex:
-    return OrbitResolutionBicomplex(diagram, tuple(X))
-
-
-def e1_oracle(bic: OrbitResolutionBicomplex) -> dict[tuple[int, int, int], int]:
+def e1_oracle(diagram: PeriodicDiagram, X) -> dict[tuple[int, int, int], int]:
     """Expected E_1 entries from the homology of the resolved diagrams."""
-    D = bic.diagram
-    L = len(bic.X)
+    L = len(X)
     out: dict[tuple[int, int, int], int] = {}
     for p in range(L + 1):
-        for alpha in bic.resolutions(p):
-            Dres, c = resolve_diagram(D, alpha)
+        for ones in combinations(X, p):
+            alpha = {x: int(x in ones) for x in X}
+            Dres, c = resolve_diagram(diagram, alpha)
             for (i, j), (free, _) in khovanov_homology(Dres).groups:
                 if free:
                     key = (p, i + c, j + p + 3 * c + L)

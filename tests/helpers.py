@@ -22,7 +22,7 @@ from pkh.diagram import isotropy
 from pkh.equivariant import EquivariantGroups, equivariant_reduce
 from pkh.homalg import FreeComplex, SparseIntMatrix, isotypic_complex
 from pkh.polynomials import BiPolynomial
-from pkh.spectral import OrbitResolutionBicomplex, resolve_diagram
+from pkh.spectral import resolve_diagram
 
 
 def from_dense(dense: list[list[int]]) -> SparseIntMatrix:
@@ -186,16 +186,16 @@ def rotation_orbits(d, r):
     return out
 
 
-def resolutions_tile(bic: OrbitResolutionBicomplex) -> bool:
+def resolutions_tile(D, X) -> bool:
     """Chain-level bookkeeping: the shifted resolved complexes tile CKh."""
     want: dict[tuple[int, int], int] = {}
-    for p in range(len(bic.X) + 1):
-        for alpha in bic.resolutions(p):
-            Dres, c = resolve_diagram(bic.diagram, alpha)
+    for p in range(len(X) + 1):
+        for ones in combinations(X, p):
+            Dres, c = resolve_diagram(D, {x: int(x in ones) for x in X})
             for (i, j), dim in chain_dims(build_complex(Dres)).items():
-                key = (i + c + p, j + p + 3 * c + len(bic.X))
+                key = (i + c + p, j + p + 3 * c + len(X))
                 want[key] = want.get(key, 0) + dim
-    return want == chain_dims(bic.complex)
+    return want == chain_dims(build_complex(D))
 
 
 def project_full_rows(d: SparseIntMatrix, gens: list[dict[int, int]], nrows: int) -> SparseIntMatrix:

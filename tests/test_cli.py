@@ -126,6 +126,19 @@ class TestCommands:
         assert doc["khp_2_2"] == "0"
         assert doc["khp"] == "q^3 + q^5 + t^2*q^7 + t^3*q^11 + t^4*q^11 + t^5*q^15"
 
+    def test_oracle_takes_only_its_own_options(self, capsys):
+        # an option an oracle does not read is refused, as is one it needs and lacks
+        for argv in (("torus", "--n", "3", "--p", "7"),
+                     ("torus", "--n", "3", "--window", "9"),
+                     ("poly-p", "--p", "2", "--n", "2", "--k", "2"),
+                     ("torus",),
+                     ("poly-p", "--n", "2"),
+                     ("trivial", "--p", "2", "--n", "1", "--k", "1", "--f", "1")):
+            code = main(["oracle", *argv])
+            out, err = capsys.readouterr()
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("usage: "), argv
+
     def test_ss_sector(self, capsys, corpus_dir):
         code, out = run_cli(capsys, "ss", str(corpus_dir / "t4_2.json"),
                             "--orbit", "2", "--d", "2")

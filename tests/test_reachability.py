@@ -57,7 +57,6 @@ UNREACHED = {
     "spectral.resolve_diagram.find": _ITEM_2,
     "spectral._walk": _ITEM_2,
     "spectral._propagate_directions": _ITEM_2,
-    "spectral.OrbitResolutionBicomplex.resolutions": _ITEM_2,
     "spectral.e1_oracle": _ITEM_2,
     "diagram.PeriodicDiagram.to_dict": _CORPUS,
     "diagram.PeriodicDiagram.to_json": _CORPUS,

@@ -1,10 +1,11 @@
 import pytest
 
 from pkh import corpus, spectral
-from pkh.complexes import khovanov_homology, khovanov_polynomial
+from pkh.action import verify_module_structure
+from pkh.complexes import build_complex, khovanov_homology, khovanov_polynomial
 from pkh.errors import ValidationError
 from pkh.homalg import SparseIntMatrix
-from pkh.spectral import (build_filtration, crossing_orbit, e1_oracle, einf_abutment_ok,
+from pkh.spectral import (crossing_orbit, e1_oracle, einf_abutment_ok, filtered_slice,
                           resolve_diagram, run_pages)
 from helpers import bipoly_mul, rational, resolutions_tile
 
@@ -59,34 +60,25 @@ class TestResolvedDiagrams:
 
 class TestFiltration:
     def test_requires_crossings_of_diagram(self, diagrams):
-        with pytest.raises(ValidationError):
-            build_filtration(diagrams("hopf"), (5,))
-
-    def test_top_step_and_monotone_levels(self, diagrams):
-        d = diagrams("hopf")
-        bic = build_filtration(d, crossing_orbit(d, 0))
-        assert bic.level(0b11) == 2
-        assert bic.level(0b01) == 1
-        assert bic.level(0) == 0
-
-    def test_invariant_orbit_detected(self, diagrams):
-        d = diagrams("t6_2")
-        assert build_filtration(d, crossing_orbit(d, 0)).is_invariant()
-        assert not build_filtration(d, (0, 1)).is_invariant()
+        hopf = diagrams("hopf")
+        with pytest.raises(ValidationError, match="crossings of the diagram"):
+            run_pages(hopf, (5,))
+        with pytest.raises(ValidationError, match="repeated crossings"):
+            run_pages(hopf, (0, 0))
 
     def test_rotation_preserves_levels(self, diagrams):
         d = diagrams("t4_2")
-        bic = build_filtration(d, crossing_orbit(d, 2))
+        mask = sum(1 << c for c in crossing_orbit(d, 2))
+        assert d.rotate_state(mask) == mask
         for bits in range(1 << d.ncross):
-            assert bic.level(bits) == bic.level(d.rotate_state(bits))
+            assert (bits & mask).bit_count() == (d.rotate_state(bits) & mask).bit_count()
 
     def test_total_complex_bookkeeping(self, diagrams):
         for name in ("hopf", "t3_2", "unknot2_n2"):
             d = diagrams(name)
-            bic = build_filtration(d, crossing_orbit(d, 0))
-            assert resolutions_tile(bic)
+            assert resolutions_tile(d, crossing_orbit(d, 0))
         d = diagrams("t4_2")
-        assert resolutions_tile(build_filtration(d, crossing_orbit(d, 1)))
+        assert resolutions_tile(d, crossing_orbit(d, 1))
 
 
 class TestPages:
@@ -100,7 +92,7 @@ class TestPages:
     def test_single_crossing_cone(self, diagrams):
         d = diagrams("trefoil")
         pages = run_pages(d, (0,))
-        assert pages[0].entries == e1_oracle(build_filtration(d, (0,)))
+        assert pages[0].entries == e1_oracle(d, (0,))
         assert einf_abutment_ok(d, pages)
 
     def test_hopf_full_orbit(self, diagrams):
@@ -108,7 +100,7 @@ class TestPages:
         X = crossing_orbit(d, 0)
         pages = run_pages(d, X)
         page = pages[0]
-        assert page.entries == e1_oracle(build_filtration(d, X))
+        assert page.entries == e1_oracle(d, X)
         cols = {}
         for (p, q, j), dim in page.entries.items():
             cols.setdefault(p, {})[j] = dim
@@ -122,6 +114,29 @@ class TestPages:
         for name in ("t3_2", "t4_2", "unknot2_n2", "borromean_n3"):
             d = diagrams(name)
             assert einf_abutment_ok(d, run_pages(d, crossing_orbit(d, 0)))
+
+    def test_verify_hand_over_builds_the_pages_of_ss(self):
+        """The slices `verify` hands over give the pages `ss` builds itself."""
+        compared = 0
+        for name in corpus.corpus_names():
+            D = corpus.build(name)
+            if not 0 < D.ncross <= 10:
+                continue
+            X = crossing_orbit(D, 0)
+            slices = {}
+
+            def to_pages(sl, fc):
+                fs = filtered_slice(X, sl, fc)
+                if fs is not None:
+                    slices[sl.j] = fs
+
+            verify_module_structure(D, to_pages)
+            handed = run_pages(D, X, slices=slices)
+            built = run_pages(D, X)
+            assert [(pg.r, pg.entries, pg.d_ranks) for pg in handed] == \
+                [(pg.r, pg.entries, pg.d_ranks) for pg in built], name
+            compared += 1
+        assert compared >= 8
 
     def test_page_dimension_consistency(self, diagrams):
         # H(E_r, d_r) has the dimensions of E_{r+1}
@@ -143,9 +158,9 @@ class TestPages:
         from fractions import Fraction
         d = diagrams("hopf")
         X = crossing_orbit(d, 0)
-        bic = build_filtration(d, X)
-        page = run_pages(d, X, bic=bic)[0]
-        cx = bic.complex
+        mask = sum(1 << c for c in X)
+        page = run_pages(d, X)[0]
+        cx = build_complex(d)
         got = {}
         for j in cx.quantum_range():
             sl = cx.slice(j)
@@ -153,7 +168,7 @@ class TestPages:
                 continue
             for p in range(len(X) + 1):
                 picks = {i: [k for k, (b, _) in enumerate(basis)
-                             if bic.level(b) == p]
+                             if (b & mask).bit_count() == p]
                          for i, basis in sl.basis.items()}
                 for m in sorted(sl.basis):
                     rows = picks.get(m + 1, [])
