@@ -17,7 +17,7 @@ import sys
 from .action import verify_module_structure
 from .complexes import graded_euler_characteristic, khovanov_homology, khovanov_polynomial
 from .diagram import parse_diagram
-from .equivariant import (equivariant_polynomials, ext_groups,
+from .equivariant import (equivariant_polynomials, ext_groups, periodic_tail,
                           rational_equivariant)
 from .errors import InvariantError, ParseError, PkhError, ValidationError
 from .homalg import rational_idempotents
@@ -97,7 +97,7 @@ def _scalar(v):
 
 def cmd_kh(args) -> int:
     D = _load(args.file)
-    groups = khovanov_homology(D).groups
+    groups = khovanov_homology(D).items()
     if args.coeffs == "q":  # the rational groups: the free parts
         groups = [(key, (free, ())) for key, (free, _) in groups if free]
     _emit({"groups": _groups(groups)}, args.format)
@@ -117,13 +117,14 @@ def cmd_ekh(args) -> int:
             "coefficients": "cyclotomic-field dimensions",
         }
     else:
-        ext = ext_groups(D, args.d, window=args.window)
+        window = 2 * D.ncross + 6 if args.window is None else args.window
+        groups = ext_groups(D, args.d, window)
         payload = {
             "d": args.d,
             "n": D.n,
-            "window": ext.window,
-            "groups": _groups(sorted(ext.groups.items())),
-            "tail": ext.tail,
+            "window": window,
+            "groups": _groups(groups.items()),
+            "tail": periodic_tail(groups, window),
         }
     _emit(payload, args.format)
     return 0

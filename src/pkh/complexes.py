@@ -24,7 +24,6 @@ who owns it.  A slice's isotypic parts are `homalg.isotypic_complex` of its
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
@@ -42,28 +41,6 @@ class Labellings(NamedTuple):
     rank: dict[int, int]    # mask -> its position in `masks`
 
 
-@dataclass(frozen=True)
-class GradedAbGroup:
-    """Finitely generated graded abelian group, one summand per (i, j)."""
-
-    groups: tuple[tuple[tuple[int, int], tuple[int, tuple[int, ...]]], ...]
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GradedAbGroup":
-        items = []
-        for key, (free, tors) in d.items():
-            tors = tuple(t for t in tors if t > 1)
-            if free or tors:
-                items.append((tuple(key), (free, tors)))
-        return cls(tuple(sorted(items)))
-
-    def as_dict(self) -> dict[tuple[int, int], tuple[int, tuple[int, ...]]]:
-        return dict(self.groups)
-
-    def poincare(self) -> BiPolynomial:
-        return BiPolynomial({key: val[0] for key, val in self.groups if val[0]})
-
-
 class DiagramComplex:
     """Lazy j-sliced Khovanov complex of one diagram.
 
@@ -76,7 +53,7 @@ class DiagramComplex:
         self.shift_i = -diagram.n_minus
         self.shift_j = diagram.n_plus - 2 * diagram.n_minus
         self._slices: dict[int, "SliceComplex"] = {}
-        self._homology: GradedAbGroup | None = None  # khovanov_homology's groups
+        self._homology: dict | None = None  # khovanov_homology's groups
         self._buckets: dict[tuple[int, int], list[int]] | None = None
         self._edges: dict[int, bytes] = {}
         self._labellings: dict[tuple[int, int], Labellings] = {}
@@ -340,14 +317,15 @@ def build_complex(diagram: PeriodicDiagram) -> DiagramComplex:
     return diagram.complex
 
 
-def khovanov_homology(diagram: PeriodicDiagram) -> GradedAbGroup:
-    """Integral Khovanov homology per (i, j); the rational groups are its
+def khovanov_homology(diagram: PeriodicDiagram) -> dict:
+    """Integral Khovanov homology, {(i, j): (free rank, torsion factors)}
+    for each nonzero group, keys ascending; the rational groups are the
     free parts.
 
     Each slice is handed to `reduce_unit_pivots` itself, which sweeps its
     degrees upwards and builds each d_i only on the generators that
     survived d_{i-1}.  That sweep runs once per diagram: the groups are
-    kept on the complex.
+    kept on the complex, and each caller gets its own copy.
     """
     cx = build_complex(diagram)
     if cx._homology is None:
@@ -358,13 +336,14 @@ def khovanov_homology(diagram: PeriodicDiagram) -> GradedAbGroup:
                 continue
             for i, grp in reduce_unit_pivots(sl).homology().items():
                 out[(i, j)] = grp
-        cx._homology = GradedAbGroup.from_dict(out)
-    return cx._homology
+        cx._homology = dict(sorted(out.items()))
+    return dict(cx._homology)
 
 
 def khovanov_polynomial(diagram: PeriodicDiagram) -> BiPolynomial:
     """Sum of t^i q^j rank_Q Kh^{i,j}."""
-    return khovanov_homology(diagram).poincare()
+    return BiPolynomial({key: free for key, (free, _) in khovanov_homology(diagram).items()
+                         if free})
 
 
 def graded_euler_characteristic(diagram: PeriodicDiagram) -> LaurentPoly:

@@ -50,11 +50,10 @@ class QuotientTangle:
     arcs: list[tuple[str, str]]
     seam_in: list[str]
     seam_out: list[str]
-    signs: list[int] = field(default_factory=list)
+    signs: list[int] = field(init=False, default_factory=list)  # per crossing, from _validate
 
     def __post_init__(self):
-        if not self.signs:
-            self._validate()
+        self._validate()
 
     @property
     def n_plus(self) -> int:

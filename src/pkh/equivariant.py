@@ -34,22 +34,30 @@ i.e. through a quotient entry +-t^k.  The cancelled span is an acyclic free
 module summand, so the quotient is a complex of free modules with the same
 hyper-Ext; the survivors are whole orbits, expanded back to the full
 basis, on which the generator still acts by a signed permutation.
+
+Every answer is the plain dict that `khovanov_homology` returns too:
+{(i, j): (free rank, torsion factors)} for each nonzero group, keys
+ascending.  `ext_groups` takes the last exact degree, its window, from
+the caller, and `periodic_tail` reads off such a dict the degree from
+which it repeats with period two.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .complexes import GradedAbGroup, SliceComplex, build_complex, khovanov_homology
+from .complexes import SliceComplex, build_complex, khovanov_homology
 from .diagram import PeriodicDiagram
 from .errors import InvariantError, ValidationError
 from .homalg import (FreeComplex, OrbitCancellingComplex, SparseIntMatrix, cofactor,
-                     cyclotomic, eval_group_ring, isotypic_complex, isotypic_part, orbits,
-                     poly_divmod, reduce_unit_pivots)
+                     cyclotomic, eval_group_ring, factorize, isotypic_complex, isotypic_part,
+                     orbits, poly_divmod, reduce_unit_pivots)
 from .polynomials import BiPolynomial
 
 MAX_WINDOW = 200  # hyper-Ext degrees: ekh t6_2 --d 2 costs 0.8 s at window 40 and
 #                   2.7 s and 81 MB at 160, growing linearly
+_ZERO = (0, ())  # the zero group, (free rank, torsion factors), of a degree a dict omits
 
 # ---------------------------------------------------------------------------
 # periodic resolutions
@@ -120,48 +128,34 @@ def equivariant_reduce(sl: SliceComplex, n: int) -> EquivariantSlice:
 # integral hyper-Ext
 
 
-@dataclass
-class EquivariantGroups:
-    """Triply graded groups at one cyclotomic index d, over a window."""
+def periodic_tail(groups: dict, window: int) -> dict:
+    """Least degree from which groups exact up to `window` repeat with period two.
 
-    n: int
-    d: int
-    window: int
-    groups: dict[tuple[int, int], tuple[int, tuple[int, ...]]]
-    tail: dict = field(default_factory=dict)
-
-    def group(self, i: int, j: int) -> tuple[int, tuple[int, ...]]:
-        return self.groups.get((i, j), (0, ()))
-
-    def detect_tail(self) -> dict:
-        """Least degree from which the groups repeat with period two."""
-        if not self.groups:
-            self.tail = {"periodic_from": 0, "top_degree": None}
-            return self.tail
-        js = {j for _, j in self.groups}
-
-        def matches(i):
-            return all(self.group(i, j) == self.group(i + 2, j) for j in js)
-
-        start = None
-        for i in range(self.window - 2, min(i0 for i0, _ in self.groups) - 1, -1):
-            if matches(i):
-                start = i
-            else:
-                break
-        self.tail = {"periodic_from": start, "top_degree": max(i for i, _ in self.groups)}
-        return self.tail
+    'periodic_from' is the least i such that every degree from i to
+    window - 2 equals the degree two above it at every quantum degree of
+    the groups, or None when window - 2 is not such a degree (or is below
+    every group); 'top_degree' is the highest degree of a group.  No groups
+    at all give 0 and None.
+    """
+    if not groups:
+        return {"periodic_from": 0, "top_degree": None}
+    js = {j for _, j in groups}
+    start = None
+    for i in range(window - 2, min(i for i, _ in groups) - 1, -1):
+        if any(groups.get((i, j), _ZERO) != groups.get((i + 2, j), _ZERO) for j in js):
+            break
+        start = i
+    return {"periodic_from": start, "top_degree": max(i for i, _ in groups)}
 
 
-def ext_groups(diagram: PeriodicDiagram, d: int, window: int | None = None) -> EquivariantGroups:
-    """Hyper-Ext of Z[xi_d] into the Khovanov complex, graded by (i, j).
+def ext_groups(diagram: PeriodicDiagram, d: int, window: int) -> dict:
+    """Hyper-Ext of Z[xi_d] into the Khovanov complex: {(i, j): (free rank,
+    torsion factors)} for each nonzero group with i <= window, keys ascending.
 
     Degrees i <= window are exact; the resolution is truncated far enough
     beyond the window that no boundary effects reach it.
     """
     n = diagram.n
-    if window is None:
-        window = 2 * diagram.ncross + 6
     if not 0 <= window <= MAX_WINDOW:
         raise ValidationError(f"window must be between 0 and {MAX_WINDOW}")
     res = PeriodicResolution(n, d, window + diagram.n_minus + 2)  # columns 0..length-1
@@ -179,9 +173,7 @@ def ext_groups(diagram: PeriodicDiagram, d: int, window: int | None = None) -> E
         for m, grp in hom.items():
             if m <= window:
                 out[(m, j)] = grp
-    res = EquivariantGroups(n, d, window, {k: v for k, v in out.items() if v[0] or v[1]})
-    res.detect_tail()
-    return res
+    return dict(sorted(out.items()))
 
 
 def _free_rows(psi: list[tuple[int, int]], res: PeriodicResolution):
@@ -363,8 +355,9 @@ def _totalize(red: EquivariantSlice, res: PeriodicResolution, maxdeg: int) -> Fr
 # plain Hom cohomology (underived)
 
 
-def hom_cohomology(diagram: PeriodicDiagram, module: str = "trivial") -> GradedAbGroup:
-    """Cohomology of the plain Hom complex from Z (trivial) or Z_- (sign).
+def hom_cohomology(diagram: PeriodicDiagram, module: str = "trivial") -> dict:
+    """Cohomology of the plain Hom complex from Z (trivial) or Z_- (sign), as
+    {(i, j): (free rank, torsion factors)} for each nonzero group, keys ascending.
 
     No derived functors: per degree this is the subgroup on which the
     generator acts by +1 (trivial) or -1 (sign), with the induced
@@ -376,7 +369,7 @@ def hom_cohomology(diagram: PeriodicDiagram, module: str = "trivial") -> GradedA
     d = 1 if module == "trivial" else 2  # the +1 or -1 eigenlattice
     if d == 2 and diagram.n % 2:
         raise ValidationError("the sign module needs even rotation order")
-    return GradedAbGroup.from_dict(dict(_isotypic_slices(diagram, d)))
+    return dict(sorted(_isotypic_slices(diagram, d)))
 
 
 def _isotypic_slices(diagram: PeriodicDiagram, d: int):
@@ -430,56 +423,14 @@ def equivariant_polynomials(diagram: PeriodicDiagram, d: int):
 # structure checks
 
 
-def _strip_primes(factors, primes) -> list[int]:
-    out = []
-    for f in factors:
-        for p in primes:
-            while f % p == 0:
-                f //= p
-        if f > 1:
-            out.append(f)
-    return out
-
-
-def _prime_power_multiset(factors) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for f in factors:
-        n, p = f, 2
-        while p * p <= n:
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out[(p, e)] = out.get((p, e), 0) + 1
-            p += 1
-        if n > 1:
-            out[(n, 1)] = out.get((n, 1), 0) + 1
-    return out
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def total_comparison(diagram: PeriodicDiagram, window: int | None = None) -> dict:
     """Compare the d-sum of equivariant groups with classical homology.
 
     Free ranks must agree on the nose; torsion after inverting the primes
     dividing n.  Returns a report with per-(i, j) failures, if any.
     """
-    classical = khovanov_homology(diagram).as_dict()
+    classical = khovanov_homology(diagram)
     n = diagram.n
-    primes = _prime_divisors(n)
     top = max((i for i, _ in classical), default=0)
     if window is None:
         window = top + 2
@@ -487,21 +438,22 @@ def total_comparison(diagram: PeriodicDiagram, window: int | None = None) -> dic
             for d in range(1, n + 1) if n % d == 0}
     keys = set(classical)
     for e in exts.values():
-        keys |= set(e.groups)
+        keys |= set(e)
     failures = []
     for (i, j) in sorted(keys):
         if i > window:
             continue
-        free_sum = sum(e.group(i, j)[0] for e in exts.values())
+        free_sum = sum(e.get((i, j), _ZERO)[0] for e in exts.values())
         tors_sum: list[int] = []
         for e in exts.values():
-            tors_sum.extend(e.group(i, j)[1])
-        cfree, ctors = classical.get((i, j), (0, ()))
+            tors_sum.extend(e.get((i, j), _ZERO)[1])
+        cfree, ctors = classical.get((i, j), _ZERO)
         if free_sum != cfree:
             failures.append({"i": i, "j": j, "kind": "free", "sum": free_sum, "classical": cfree})
             continue
-        a = _prime_power_multiset(_strip_primes(tors_sum, primes))
-        b = _prime_power_multiset(_strip_primes(ctors, primes))
+        # the prime-power parts at the primes not dividing n, with multiplicity
+        a = Counter((p, k) for t in tors_sum for p, k in factorize(t).items() if n % p)
+        b = Counter((p, k) for t in ctors for p, k in factorize(t).items() if n % p)
         if a != b:
             failures.append({"i": i, "j": j, "kind": "torsion", "sum": sorted(tors_sum),
                              "classical": sorted(ctors)})
@@ -516,23 +468,15 @@ def tail_checks(diagram: PeriodicDiagram, d: int, window: int | None = None) -> 
     d = 1 and by p^(m-s+1) when d = p^s with s >= 1.
     """
     n = diagram.n
-    primes = _prime_divisors(n)
-    if len(primes) != 1:
+    powers = factorize(n)
+    if len(powers) != 1:
         raise ValidationError("rotation order must be a prime power")
-    p = primes[0]
-    m = 0
-    nn = n
-    while nn > 1:
-        nn //= p
-        m += 1
-    s = 0
-    dd = d
-    while dd > 1:
-        if dd % p:
-            raise ValidationError("d must be a power of the same prime")
-        dd //= p
-        s += 1
-    classical = khovanov_homology(diagram).as_dict()
+    (p, m), = powers.items()
+    d_powers = factorize(d)
+    if d_powers.keys() - {p}:
+        raise ValidationError("d must be a power of the same prime")
+    s = d_powers.get(p, 0)
+    classical = khovanov_homology(diagram)
     m_top = max((i for i, _ in classical), default=0)
     if window is None:
         window = m_top + 6
@@ -541,12 +485,12 @@ def tail_checks(diagram: PeriodicDiagram, d: int, window: int | None = None) -> 
     ext = ext_groups(diagram, d, window)
     bound = n if s == 0 else p ** (m - s + 1)
     failures = []
-    js = {j for _, j in ext.groups}
+    js = {j for _, j in ext}
     for i in range(m_top + 1, window - 1):
         for j in sorted(js):
-            if ext.group(i, j) != ext.group(i + 2, j):
+            if ext.get((i, j), _ZERO) != ext.get((i + 2, j), _ZERO):
                 failures.append({"i": i, "j": j, "kind": "period"})
-    for (i, j), (free, tors) in sorted(ext.groups.items()):
+    for (i, j), (free, tors) in ext.items():
         if i <= m_top:
             continue
         if free:

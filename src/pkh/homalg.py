@@ -1,9 +1,10 @@
 """Exact linear algebra over Z and arithmetic in Z[t]/(t^n - 1).
 
 Sparse integer matrices with arbitrary-precision entries, the invariant
-factors of their Smith normal form (growth-aware pivoting; every group is
-read off the factors, so no unimodular change of basis is kept), and
-homology of finite free cochain complexes: the Smith form of the complex as
+factors of their Smith normal form as a plain tuple (growth-aware pivoting;
+every group is read off the factors, so no unimodular change of basis is
+kept), and homology of finite free cochain complexes, each degree's group
+as the pair (free rank, torsion factors): the Smith form of the complex as
 given, which every engine first compresses by unit-pivot Gaussian
 cancellation (`reduce_unit_pivots`, which preserves integral homology
 exactly).  Smith form is the only elimination: it gives the groups and the
@@ -20,7 +21,9 @@ the one construction of an orbit's part of ker Phi_d and of its
 coordinates, and `isotypic_complex` the one projection of a complex onto
 its Phi_d-isotypic part, over Z, for every d | n.  `poly_divmod` divides by
 a monic polynomial over Z, and `rational_idempotents` gives the central
-idempotents of Q[t]/(t^n - 1) in closed form.
+idempotents of Q[t]/(t^n - 1) in closed form.  `factorize` is the engine's
+one factorization of an integer, for the Moebius function here and the
+prime-power checks of `equivariant`.
 
 One Gaussian-cancellation step serves every engine.  `CancellingComplex`
 holds its only copy: the Schur update from a pivot row, the removal of the
@@ -114,21 +117,6 @@ class SparseIntMatrix:
 # Smith normal form
 
 
-@dataclass
-class SmithForm:
-    """Invariant factors d_1 | d_2 | ... of an integer matrix."""
-
-    factors: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.factors)
-
-    @property
-    def nonunit(self) -> tuple[int, ...]:
-        return tuple(d for d in self.factors if d != 1)
-
-
 def _pick_pivot(m: SparseIntMatrix):
     """Pivot with minimal |value|, ties broken by minimal fill estimate."""
     best = None
@@ -161,7 +149,7 @@ def _col_op(m: SparseIntMatrix, dst: int, src: int, q: int):
         m.add(r, dst, -q * m.rows[r][src])
 
 
-def smith_normal_form(a: SparseIntMatrix) -> SmithForm:
+def smith_normal_form(a: SparseIntMatrix) -> tuple[int, ...]:
     """Invariant factors of the Smith normal form of an integer matrix.
 
     Returns d_1 | d_2 | ... (units included, zeros omitted); `a` itself is
@@ -198,7 +186,7 @@ def smith_normal_form(a: SparseIntMatrix) -> SmithForm:
                 break
         diag.append(abs(m.rows[r0][c0]))
         m._drop(r0, c0)
-    return SmithForm(tuple(_invariant_chain(diag)))
+    return tuple(_invariant_chain(diag))
 
 
 def _invariant_chain(diag: list[int]) -> list[int]:
@@ -218,7 +206,7 @@ def _invariant_chain(diag: list[int]) -> list[int]:
 
 def int_rank(a: SparseIntMatrix) -> int:
     """Rank over Q: the number of invariant factors of the Smith form."""
-    return smith_normal_form(a).rank
+    return len(smith_normal_form(a))
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +264,13 @@ class FreeComplex:
         omitted; the rational homology is the free rank.
         """
         snf = {i: smith_normal_form(self.diff(i)) for i in self.degrees()}
-        zero = SmithForm(())
         out: dict[int, tuple[int, tuple[int, ...]]] = {}
         for i in self.degrees():
-            below = snf.get(i - 1, zero)
-            free = self.dims[i] - snf[i].rank - below.rank
-            if free or below.nonunit:
-                out[i] = (free, below.nonunit)
+            below = snf.get(i - 1, ())
+            free = self.dims[i] - len(snf[i]) - len(below)
+            torsion = tuple(f for f in below if f != 1)
+            if free or torsion:
+                out[i] = (free, torsion)
         return out
 
 
@@ -375,7 +363,8 @@ def isotypic_part(orbs, d: int):
     possibly empty, for every id of such an orbit, from t^m div h at ids[m].
     The sum of coef * x[id] gives the coordinates of h (x div h): a projection
     of the orbit, exact on the lattice.  The quotients are computed once per
-    (L, sigma).
+    (L, sigma).  At d = 1, 2 (the +1, -1 eigenlattices) each orbit's one
+    vector is read at its last id in walk order, with coefficient +-1.
     """
     phi = cyclotomic(d)
     phi_d = len(phi) - 1
@@ -405,21 +394,14 @@ def isotypic_part(orbs, d: int):
     return out, coords
 
 
-def isotypic_basis(psi: list[tuple[int, int]], d: int):
-    """`isotypic_part` of every orbit of psi, by least id: a basis of
-    ker Phi_d(psi) and its coordinates.  At d = 1, 2 (the +1, -1
-    eigenlattices) each orbit's one vector is read at its last id in walk
-    order, with coefficient +-1."""
-    return isotypic_part(orbits(psi), d)
-
-
 def isotypic_complex(dims, psi, diff, d: int):
     """The Phi_d-isotypic part of a complex with a chain automorphism, over Z.
 
     psi(i) is the automorphism on degree i of `dims` as a signed
     permutation, and diff(i) is d_i or None, asked for only where both ends
     have a nonzero part.  Returns (gens, complex): gens[i] are the vectors of
-    `isotypic_basis(psi(i), d)`, and the complex is d on them, in their coordinates.
+    `isotypic_part(orbits(psi(i)), d)`, and the complex is d on them, in their
+    coordinates.
 
     The degrees go up one at a time.  Degree i's coordinates are read only
     by d_{i-1}, so they are dropped once it is projected: no two degrees'
@@ -427,7 +409,7 @@ def isotypic_complex(dims, psi, diff, d: int):
     """
     gens, iso_dims, diffs = {}, {}, {}
     for i in sorted(dims):
-        gens[i], coords = isotypic_basis(psi(i), d)
+        gens[i], coords = isotypic_part(orbits(psi(i)), d)
         if gens[i]:
             iso_dims[i] = len(gens[i])
             if i - 1 in iso_dims:
@@ -822,7 +804,10 @@ def rational_idempotents(n: int) -> dict[int, tuple[Fraction, ...]]:
     """
     out: dict[int, tuple[Fraction, ...]] = {}
     divisors = [d for d in range(1, n + 1) if n % d == 0]
-    mobius = {d: _mobius(d) for d in divisors}
+    mobius = {}
+    for d in divisors:
+        exps = factorize(d).values()
+        mobius[d] = 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
     for d in divisors:
         ramanujan = {g: sum(mobius[d // e] * e for e in range(1, g + 1) if g % e == 0)
                      for g in divisors if d % g == 0}
@@ -830,16 +815,17 @@ def rational_idempotents(n: int) -> dict[int, tuple[Fraction, ...]]:
     return out
 
 
-def _mobius(m: int) -> int:
-    out, p = 1, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            out = -out
+def factorize(n: int) -> dict[int, int]:
+    """The prime factorization {p: e} of n >= 1 by trial division, primes ascending."""
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
         p += 1
-    return -out if m > 1 else out
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def eval_group_ring(poly: list[int], perm_block, dim: int) -> SparseIntMatrix:

@@ -409,7 +409,7 @@ def e1_oracle(diagram: PeriodicDiagram, X) -> dict[tuple[int, int, int], int]:
         for ones in combinations(X, p):
             alpha = {x: int(x in ones) for x in X}
             Dres, c = resolve_diagram(diagram, alpha)
-            for (i, j), (free, _) in khovanov_homology(Dres).groups:
+            for (i, j), (free, _) in khovanov_homology(Dres).items():
                 if free:
                     key = (p, i + c, j + p + 3 * c + L)
                     out[key] = out.get(key, 0) + free
@@ -418,5 +418,5 @@ def e1_oracle(diagram: PeriodicDiagram, X) -> dict[tuple[int, int, int], int]:
 
 def einf_abutment_ok(diagram: PeriodicDiagram, pages: list[SSPage]) -> bool:
     """E_infinity totals must match rational Khovanov homology."""
-    want = {key: free for key, (free, _) in khovanov_homology(diagram).groups if free}
+    want = {key: free for key, (free, _) in khovanov_homology(diagram).items() if free}
     return pages[-1].total_dims() == want

@@ -4,8 +4,9 @@ Dense views of sparse matrices, the rank over Q and the determinant by
 dense `Fraction` elimination, invariant factors from determinantal divisors,
 the product and the long division of integer polynomials, the product of
 polynomials in t and q, the rank of each chain group of a complex, the
-rational part and the mirror of a graded group, equivariant groups
-compared over a window, the rotation orbits of the smoothings of one
+rational part and the mirror of a graded group (a dict {(i, j): (free
+rank, torsion factors)}, as the engine returns it), two such dicts
+compared up to a window, the rotation orbits of the smoothings of one
 weight, the chain-level tiling of the orbit-resolution filtration, and
 references for the isotypic projection: the full-row product, the
 eigenlattices of a signed permutation walked cycle by cycle, and the slice
@@ -17,9 +18,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from pkh.complexes import GradedAbGroup, build_complex
+from pkh.complexes import build_complex
 from pkh.diagram import isotropy
-from pkh.equivariant import EquivariantGroups, equivariant_reduce
+from pkh.equivariant import equivariant_reduce
 from pkh.homalg import FreeComplex, SparseIntMatrix, isotypic_complex
 from pkh.polynomials import BiPolynomial
 from pkh.spectral import resolve_diagram
@@ -148,9 +149,9 @@ def divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return q, r[:len(b) - 1]
 
 
-def rational(groups: GradedAbGroup) -> GradedAbGroup:
+def rational(groups: dict) -> dict:
     """The rational groups: the free parts of the integral ones."""
-    return GradedAbGroup.from_dict({k: (free, ()) for k, (free, _) in groups.groups})
+    return {k: (free, ()) for k, (free, _) in groups.items() if free}
 
 
 def chain_dims(cx) -> dict[tuple[int, int], int]:
@@ -158,16 +159,15 @@ def chain_dims(cx) -> dict[tuple[int, int], int]:
     return {(i, j): rank for j in cx.quantum_range() for i, rank in cx.slice(j).dims.items()}
 
 
-def mirror(groups: GradedAbGroup) -> GradedAbGroup:
+def mirror(groups: dict) -> dict:
     """The groups of the mirror image: (i, j) -> (-i, -j)."""
-    return GradedAbGroup(tuple(sorted(((-i, -j), val) for (i, j), val in groups.groups)))
+    return {(-i, -j): val for (i, j), val in groups.items()}
 
 
-def same_groups(a: EquivariantGroups, b: EquivariantGroups, window: int | None = None) -> bool:
-    """Equal groups in every degree up to `window`, by default the smaller window."""
-    w = min(a.window, b.window) if window is None else window
-    keys = {k for k in a.groups if k[0] <= w} | {k for k in b.groups if k[0] <= w}
-    return all(a.group(*k) == b.group(*k) for k in keys)
+def same_groups(a: dict, b: dict, window: int) -> bool:
+    """Equal groups in every degree up to `window`."""
+    return {k: v for k, v in a.items() if k[0] <= window} == \
+        {k: v for k, v in b.items() if k[0] <= window}
 
 
 def rotation_orbits(d, r):

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from pkh import corpus
-from pkh.diagram import isotropy, parse_diagram
+from pkh.diagram import Crossing, QuotientTangle, isotropy, parse_diagram
 from pkh.errors import ParseError
 from helpers import rotation_orbits
 
@@ -67,6 +67,14 @@ class TestParsing:
         spec["tangle"]["orient"][2] = ["c0.3", "c0.2"]
         with pytest.raises(ParseError):
             parse_diagram(as_text(spec))
+
+    def test_signs_are_derived_so_validation_always_runs(self):
+        # an endpoint label used twice; given signs used to skip every check
+        bad = ([Crossing(0, ("a", "a", "b", "c"))], [], [], [])
+        with pytest.raises(TypeError):
+            QuotientTangle(*bad, [1])
+        with pytest.raises(ParseError, match="used twice"):
+            QuotientTangle(*bad)
 
     def test_roundtrip(self, diagrams):
         for name in ("hopf", "unknot2_n2", "borromean_n3", "trivial_p4_k1_f1"):

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from pkh import corpus
-from pkh.complexes import GradedAbGroup, khovanov_homology, khovanov_polynomial
+from pkh.complexes import khovanov_homology, khovanov_polynomial
 from pkh.diagram import diagram_from_dict
 from pkh.equivariant import (PeriodicResolution, _free_rows, equivariant_polynomials,
-                             equivariant_reduce, ext_groups, hom_cohomology,
+                             equivariant_reduce, ext_groups, hom_cohomology, periodic_tail,
                              rational_equivariant, tail_checks, total_comparison)
 from pkh.errors import ValidationError
 from pkh.homalg import FreeComplex, eval_group_ring, reduce_unit_pivots
@@ -147,20 +147,20 @@ class TestExtGroups:
     def test_unknot_invariant_sector(self, diagrams):
         ext = ext_groups(diagrams("unknot0_n2"), 1, window=8)
         for j in (-1, 1):
-            assert ext.group(0, j) == (1, ())
+            assert ext[(0, j)] == (1, ())
             for i in (2, 4, 6, 8):
-                assert ext.group(i, j) == (0, (2,))
+                assert ext[(i, j)] == (0, (2,))
             for i in (1, 3, 5, 7):
-                assert ext.group(i, j) == (0, ())
+                assert (i, j) not in ext
 
     def test_unknot_sign_sector(self, diagrams):
         ext = ext_groups(diagrams("unknot0_n2"), 2, window=8)
         for j in (-1, 1):
-            assert ext.group(0, j) == (0, ())
+            assert (0, j) not in ext
             for i in (1, 3, 5, 7):
-                assert ext.group(i, j) == (0, (2,))
+                assert ext[(i, j)] == (0, (2,))
             for i in (2, 4, 6, 8):
-                assert ext.group(i, j) == (0, ())
+                assert (i, j) not in ext
 
     def test_invariance_under_equivariant_moves(self, diagrams):
         a = diagrams("unknot0_n2")
@@ -186,10 +186,11 @@ class TestExtGroups:
             for d in range(1, D.n + 1):
                 if D.n % d:
                     continue
-                ext = ext_groups(D, d, window=D.n_plus + 2)
+                window = D.n_plus + 2
+                ext = ext_groups(D, d, window)
                 rat = rational_equivariant(D, d)["dim_q"]
-                free = {k: v[0] for k, v in ext.groups.items() if v[0]}
-                want = {k: v for k, v in rat.items() if k[0] <= ext.window}
+                free = {k: v[0] for k, v in ext.items() if v[0]}
+                want = {k: v for k, v in rat.items() if k[0] <= window}
                 assert free == want
 
     def test_ext0_matches_invariant_cocycles(self, diagrams):
@@ -199,16 +200,39 @@ class TestExtGroups:
             if D.n_minus:
                 continue
             ext = ext_groups(D, 1, window=2)
-            hom = hom_cohomology(D, "trivial").as_dict()
-            for j in {jj for (_, jj) in set(ext.groups) | set(hom)}:
-                assert ext.group(0, j) == hom.get((0, j), (0, ()))
+            hom = hom_cohomology(D, "trivial")
+            assert list(ext) == sorted(ext) and list(hom) == sorted(hom)
+            assert {k: v for k, v in ext.items() if k[0] == 0} == \
+                {k: v for k, v in hom.items() if k[0] == 0}
+
+
+class TestPeriodicTail:
+    def test_no_groups(self):
+        assert periodic_tail({}, 6) == {"periodic_from": 0, "top_degree": None}
+
+    def test_groups_zero_above_a_degree(self):
+        # degrees 3 to 6 are zero, so each from 3 up repeats; degree 2 does not
+        groups = {(0, 1): (1, ()), (0, 3): (1, ()), (2, 5): (0, (2,))}
+        assert periodic_tail(groups, 6) == {"periodic_from": 3, "top_degree": 2}
+
+    def test_period_two_in_every_quantum_degree(self):
+        groups = {(2, 1): (0, (2,)), (3, 3): (0, (3,)), (4, 1): (0, (2,)), (5, 3): (0, (3,))}
+        assert periodic_tail(groups, 5) == {"periodic_from": 2, "top_degree": 5}
+
+    def test_last_pair_that_does_not_repeat(self):
+        groups = {(0, 1): (1, ()), (2, 1): (0, (2,)), (4, 1): (0, (2,))}
+        assert periodic_tail(groups, 6) == {"periodic_from": None, "top_degree": 4}
+
+    def test_window_below_the_lowest_degree(self):
+        groups = {(3, 1): (0, (2,)), (5, 1): (0, (2,))}
+        assert periodic_tail(groups, 2) == {"periodic_from": None, "top_degree": 5}
 
 
 class TestHomCohomology:
     def test_unknot_diagrams_differ(self, diagrams):
-        got = hom_cohomology(diagrams("unknot2_n2"), "sign").as_dict()
+        got = hom_cohomology(diagrams("unknot2_n2"), "sign")
         assert got == {(2, 3): (0, (2,)), (2, 5): (0, (2,))}
-        assert hom_cohomology(diagrams("unknot0_n2"), "sign").as_dict() == {}
+        assert hom_cohomology(diagrams("unknot0_n2"), "sign") == {}
 
     def test_trivial_module_at_n1_is_khovanov(self, diagrams):
         d = diagrams("trefoil")
@@ -230,7 +254,7 @@ class TestHomCohomology:
                     if sl.basis:
                         hom = reduce_unit_pivots(slice_eigen(sl, eps)).homology()
                         want.update(((i, j), grp) for i, grp in hom.items())
-                assert hom_cohomology(D, module) == GradedAbGroup.from_dict(want), (name, module)
+                assert hom_cohomology(D, module) == want, (name, module)
 
     def test_sign_needs_even_order(self, diagrams):
         with pytest.raises(ValidationError):
@@ -290,7 +314,7 @@ class TestPolynomialsAndStructure:
     def test_trivial_link_has_order_torsion_before_inverting(self, diagrams):
         D = diagrams("trivial_p3_k1_f0")
         ext1 = ext_groups(D, 1, window=4)
-        assert any(3 in tors or 9 in tors for _, tors in ext1.groups.values())
+        assert any(3 in tors or 9 in tors for _, tors in ext1.values())
 
     def test_tails_on_unknots(self, diagrams):
         rep = tail_checks(diagrams("unknot0_n2"), 1, window=8)

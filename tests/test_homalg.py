@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from math import prod
 
 import pytest
 
@@ -9,8 +10,8 @@ from pkh.equivariant import EquivariantSlice, PeriodicResolution, _totalize, equ
 from pkh.equivariant import rational_equivariant
 from pkh.errors import InvariantError
 from pkh.homalg import (FreeComplex, OrbitCancellingComplex, SparseIntMatrix,
-                        cofactor, cyclotomic, eval_group_ring, int_rank,
-                        isotypic_basis, isotypic_complex, orbits, project,
+                        cofactor, cyclotomic, eval_group_ring, factorize, int_rank,
+                        isotypic_complex, isotypic_part, orbits, project,
                         rational_idempotents, reduce_unit_pivots,
                         smith_normal_form)
 from helpers import (determinantal_factors, divmod_monic, fraction_rank, from_dense,
@@ -19,13 +20,13 @@ from helpers import (determinantal_factors, divmod_monic, fraction_rank, from_de
 
 class TestSmithNormalForm:
     def test_diag_2_3(self):
-        assert smith_normal_form(from_dense([[2, 0], [0, 3]])).factors == (1, 6)
+        assert smith_normal_form(from_dense([[2, 0], [0, 3]])) == (1, 6)
 
     def test_zero_matrix(self):
-        assert smith_normal_form(SparseIntMatrix(3, 4)).factors == ()
+        assert smith_normal_form(SparseIntMatrix(3, 4)) == ()
 
     def test_identity(self):
-        assert smith_normal_form(from_dense([[1, 0], [0, 1]])).factors == (1, 1)
+        assert smith_normal_form(from_dense([[1, 0], [0, 1]])) == (1, 1)
 
     def test_transpose_invariance(self):
         rng = random.Random(7)
@@ -33,7 +34,7 @@ class TestSmithNormalForm:
             rows = [[rng.randint(-4, 4) if rng.random() < 0.5 else 0
                      for _ in range(5)] for _ in range(4)]
             a = from_dense(rows)
-            assert smith_normal_form(a).factors == smith_normal_form(transpose(a)).factors
+            assert smith_normal_form(a) == smith_normal_form(transpose(a))
 
     def test_factors_match_determinantal_divisors(self):
         rng = random.Random(11)
@@ -41,7 +42,7 @@ class TestSmithNormalForm:
             nr, nc = rng.randint(1, 8), rng.randint(1, 8)
             rows = [[rng.randint(-6, 6) if rng.random() < 0.4 else 0
                      for _ in range(nc)] for _ in range(nr)]
-            assert smith_normal_form(from_dense(rows)).factors == determinantal_factors(rows)
+            assert smith_normal_form(from_dense(rows)) == determinantal_factors(rows)
         big = 2 ** 64 + 13
         for rows, want in [
             ([], ()),
@@ -54,14 +55,14 @@ class TestSmithNormalForm:
         ]:
             a = from_dense(rows) if rows else SparseIntMatrix(0, 3)
             assert determinantal_factors(rows) == want
-            assert smith_normal_form(a).factors == want
+            assert smith_normal_form(a) == want
 
     def test_divisibility_chain(self):
         rng = random.Random(3)
         for _ in range(25):
             rows = [[rng.randint(-9, 9) if rng.random() < 0.6 else 0
                      for _ in range(6)] for _ in range(6)]
-            f = smith_normal_form(from_dense(rows)).factors
+            f = smith_normal_form(from_dense(rows))
             assert all(b % a == 0 for a, b in zip(f, f[1:]))
 
 
@@ -265,6 +266,16 @@ class TestIdempotents:
                 assert all((n * c).denominator == 1 for c in e)
 
 
+class TestFactorize:
+    def test_reconstructs_every_n_up_to_5000_from_primes(self):
+        primes = {p for p in range(2, 5001) if all(p % q for q in range(2, p))}
+        assert factorize(1) == {}
+        for n in range(2, 5001):
+            f = factorize(n)
+            assert list(f) == sorted(f) and set(f) <= primes and min(f.values()) >= 1, n
+            assert prod(p ** e for p, e in f.items()) == n, n
+
+
 class TestGroupRingEval:
     def test_t_minus_one_on_identity(self):
         ident = [(k, 1) for k in range(3)]
@@ -465,7 +476,7 @@ def slice_ext(red, n, d):
 
 def slice_isotypic(red, d):
     """Rank of the Phi_d-isotypic homology per degree, as rational_equivariant takes it."""
-    iso = {i: isotypic_basis(red.psi[i], d)[0] for i in red.dims}
+    iso = {i: isotypic_part(orbits(red.psi[i]), d)[0] for i in red.dims}
     rank = {i: int_rank(project_full_rows(red.diffs[i], iso[i], red.dims[i + 1]))
             for i in red.dims if iso[i] and i in red.diffs}
     return {i: len(iso[i]) - rank.get(i, 0) - rank.get(i - 1, 0) for i in red.dims}
@@ -701,7 +712,7 @@ class TestCancellationKernel:
         for _ in range(40):
             psi, cycles = random_signed_permutation(rng)
             for d, eps in ((1, 1), (2, -1)):
-                gens, coords = isotypic_basis(psi, d)
+                gens, coords = isotypic_part(orbits(psi), d)
                 want = 0
                 for cyc in cycles:
                     sigma = 1
@@ -756,7 +767,7 @@ class TestCancellationKernel:
 
 
 class TestIsotypicProjection:
-    """`isotypic_basis` at every d and `isotypic_complex` on the corpus."""
+    """`isotypic_part` of every orbit at every d, and `isotypic_complex` on the corpus."""
 
     def test_coordinates_read_back_every_combination(self):
         """On signed orbits at d = 3, 4, 6 the basis spans ker Phi_d(psi), and
@@ -765,7 +776,7 @@ class TestIsotypicProjection:
         for _ in range(40):
             psi = random_signed_orbits(rng)
             for d in (3, 4, 6):
-                gens, coords = isotypic_basis(psi, d)
+                gens, coords = isotypic_part(orbits(psi), d)
                 phi = eval_group_ring(cyclotomic(d), psi, len(psi))
                 assert len(gens) == len(psi) - int_rank(phi), (psi, d)
                 for v in gens:
@@ -791,7 +802,7 @@ class TestIsotypicProjection:
         for _ in range(40):
             psi = random_signed_orbits(rng)
             for d in (1, 2, 3, 4, 6):
-                gens, coords = isotypic_basis(psi, d)
+                gens, coords = isotypic_part(orbits(psi), d)
                 for ids, signs, sigma in orbits(psi):
                     h, rem = divmod_monic([-sigma] + [0] * (len(ids) - 1) + [1], cyclotomic(d))
                     for m, e in enumerate(ids):

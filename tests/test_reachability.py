@@ -40,14 +40,10 @@ UNREACHED = {
     "action.fixed_state_sign": _ITEM_7 + "; tests/test_action.py checks it against the "
                                          "iterated psi",
     "diagram.isotropy": _ITEM_7 + " (fixed_state_sign reads it)",
-    "complexes.GradedAbGroup.as_dict": _ITEM_3 + " (total_comparison reads it)",
     "complexes.SliceComplex.basis": _TRACED,
     "homalg.SparseIntMatrix.nnz": _TRACED,
     "equivariant.total_comparison": _ITEM_3,
     "equivariant.tail_checks": _ITEM_3,
-    "equivariant._strip_primes": _ITEM_3,
-    "equivariant._prime_power_multiset": _ITEM_3,
-    "equivariant._prime_divisors": _ITEM_3,
     "equivariant.hom_cohomology": "tests/test_acceptance.py criterion 2: the plain Hom "
                                   "discrepancy",
     "polynomials._Polynomial.__bool__": "the truth protocol: without it the zero polynomial "

@@ -85,7 +85,7 @@ class TestPages:
     def test_empty_x_collapses_immediately(self, diagrams):
         d = diagrams("trefoil")
         pages = run_pages(d, ())
-        kh = {k: f for k, (f, _) in khovanov_homology(d).groups if f}
+        kh = {k: f for k, (f, _) in khovanov_homology(d).items() if f}
         assert pages[0].total_dims() == kh
         assert pages[-1].total_dims() == kh
 
