@@ -193,9 +193,7 @@ def cmd_verify(args) -> int:
     slices = {}
 
     def to_pages(sl, fc):
-        fs = filtered_slice(X, sl, fc)
-        if fs is not None:
-            slices[sl.j] = fs
+        slices[sl.j] = filtered_slice(X, sl, fc)
 
     rep = verify_module_structure(D, None if X is None else to_pages)
     record("differential_squares_to_zero", rep["composes"])

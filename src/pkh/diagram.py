@@ -241,13 +241,9 @@ class PeriodicDiagram:
         for arc in arcs:
             for p in arc.pieces:
                 piece_to_arc[p] = arc.aid
-        self.rot_arc = [0] * len(arcs)  # image under copy shift +1
-        for arc in arcs:
-            c0, a0 = min(arc.pieces)
-            self.rot_arc[arc.aid] = piece_to_arc[((c0 + 1) % self.n, a0)]
-        self.inv_rot_arc = [0] * len(arcs)
-        for a, b in enumerate(self.rot_arc):
-            self.inv_rot_arc[b] = a
+        # preimage under copy shift +1: the arc holding the least piece's copy - 1
+        self.inv_rot_arc = [piece_to_arc[((c - 1) % self.n, a)]
+                            for c, a in (min(arc.pieces) for arc in arcs)]
 
     # -- states ------------------------------------------------------------
 

@@ -7,9 +7,9 @@ kept), and homology of finite free cochain complexes, each degree's group
 as the pair (free rank, torsion factors): the Smith form of the complex as
 given, which every engine first compresses by unit-pivot Gaussian
 cancellation (`reduce_unit_pivots`, which preserves integral homology
-exactly).  Smith form is the only elimination: it gives the groups and the
-ranks, `int_rank` is its rank, and a rational answer is the free rank of an
-integral group.
+exactly).  Smith form gives every group and rank here, `int_rank` is its
+rank, and a rational answer is the free rank of an integral group; the
+spectral pages are read off their own column reduction (`spectral`).
 
 The group ring acts on a complex through a chain automorphism psi, a signed
 permutation of each basis.  A ring element is a plain coefficient list in

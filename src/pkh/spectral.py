@@ -9,20 +9,23 @@ When X is a rotation orbit the filtration is by subcomplexes of modules
 over the group ring, and projecting a 2-periodic diagram onto an
 isotypic sector gives the equivariant pages.
 
-Pages are computed over Q by the elementary filtered-complex algorithm:
-every E_r entry and d_r rank is a difference of kernel dimensions of
-integer matrices, evaluated exactly.
+Pages are computed over Q from the persistence pairs of the filtration.
+One column reduction of each differential pairs a generator of level x with
+one of level y >= x, a bar of length y - x; E_r holds the unpaired
+generators and both ends of every bar of length at least r, and the rank
+of d_r is the number of bars of length r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 
 from .complexes import build_complex, khovanov_homology
 from .diagram import Crossing, PeriodicDiagram, QuotientTangle
 from .errors import InvariantError, ValidationError
-from .homalg import CancellingComplex, SparseIntMatrix, int_rank, isotypic_complex
+from .homalg import CancellingComplex, isotypic_complex
 
 # ---------------------------------------------------------------------------
 # resolved diagrams
@@ -256,7 +259,7 @@ def _filtered_reduce(dims, levels, mats):
     Such a cancellation happens inside one associated-graded piece, so it is
     a strictly filtered homotopy equivalence: every page from E_1 onward is
     unchanged while the complex shrinks to roughly E_1 size.  Takes
-    ownership of `mats`.
+    ownership of `mats` and returns the kernel, on the original ids.
     """
     red = CancellingComplex(dims, mats)
     progress = True
@@ -277,53 +280,50 @@ def _filtered_reduce(dims, levels, mats):
                     red.cancel(m, t, s)
                     progress = True
                     break
-    dims, mats, remap = red.export()
-    return dims, {m: [levels[m][e] for e in remap[m]] for m in dims}, mats
+    return red
 
 
-class _FilteredSlice:
-    """Kernel-dimension oracle for one quantum degree."""
+def _bars(dims, levels, mats):
+    """The bars of one filtered slice over Q; takes ownership of `mats`.
 
-    def __init__(self, dims, levels, mats, L):
-        dims, levels, mats = _filtered_reduce(dims, levels, mats)
-        self.dims = dims          # m -> dimension
-        self.levels = levels      # m -> list of levels
-        self.mats = mats          # m -> SparseIntMatrix into degree m+1
-        self.L = L
-        self._z: dict[tuple[int, int, int], int] = {}
+    After `_filtered_reduce`, each d_m is column-reduced once over Z, with
+    generators ordered by (level, id): columns greatest first, a column's
+    pivot its least row, and col = b*col - a*other while an earlier column
+    holds that pivot.  A column c left nonzero with pivot t is the bar
+    (m, level of c, level of t); a generator in no bar is (m, level, None).
+    """
+    red = _filtered_reduce(dims, levels, mats)
+    bars, paired = [], set()  # paired: (degree, id) of each generator in a bar
+    for m in sorted(red.alive):
+        lv_s, lv_t, mat = levels[m], levels.get(m + 1), red.mats.get(m)
+        pivots = {}  # row -> the reduced column holding it as pivot
+        for c in sorted(mat.cols, key=lambda c: (lv_s[c], c), reverse=True) if mat else ():
+            col = {r: mat.rows[r][c] for r in mat.cols[c]}
+            while col:
+                t = min(col, key=lambda r: (lv_t[r], r))
+                other = pivots.get(t)
+                if other is None:
+                    break
+                g = gcd(col[t], other[t])
+                a, b = col[t] // g, other[t] // g
+                col = {r: b * col.get(r, 0) - a * other.get(r, 0) for r in col.keys() | other}
+                col = {r: v for r, v in col.items() if v}
+            if not col:
+                continue
+            if (m, c) in paired:
+                raise InvariantError(f"a generator ends two bars: d_{m} o d_{m - 1} != 0")
+            if lv_t[t] < lv_s[c]:
+                raise InvariantError(f"d_{m} lowers the filtration level")
+            pivots[t] = col
+            paired |= {(m, c), (m + 1, t)}
+            bars.append((m, lv_s[c], lv_t[t]))
+        bars += [(m, lv_s[e], None) for e, a in enumerate(red.alive[m])
+                 if a and (m, e) not in paired]
+    return bars
 
-    def z(self, m: int, p: int, cut: int) -> int:
-        p_eff = max(p, 0)
-        if p_eff > self.L + 1:
-            return 0
-        cut_eff = min(cut, self.L + 1)
-        key = (m, p_eff, cut_eff)
-        got = self._z.get(key)
-        if got is not None:
-            return got
-        src_levels = self.levels.get(m, [])
-        cols = [k for k, lv in enumerate(src_levels) if lv >= p_eff]
-        if not cols:
-            self._z[key] = 0
-            return 0
-        mat = self.mats.get(m)
-        if mat is None:
-            val = len(cols)
-        else:
-            tgt_levels = self.levels.get(m + 1, [])
-            sub = SparseIntMatrix(len(tgt_levels), len(cols))
-            for newc, c in enumerate(cols):
-                for r in mat.cols.get(c, ()):
-                    if tgt_levels[r] < cut_eff:
-                        sub.set(r, newc, mat.rows[r][c])
-            val = len(cols) - int_rank(sub)
-        self._z[key] = val
-        return val
 
-
-def filtered_slice(X: tuple[int, ...], sl, fc, gens=None) -> _FilteredSlice | None:
-    """The page oracle of j-slice `sl` filtered by 1-smoothings on X, or None
-    for an empty complex.
+def filtered_slice(X: tuple[int, ...], sl, fc, gens=None) -> list[tuple]:
+    """The bars of j-slice `sl` filtered by 1-smoothings on X.
 
     `fc` is the slice's complex, as `to_free_complex` builds it or, with
     `gens`, as `isotypic_complex` builds it on the vectors `gens`; its
@@ -332,8 +332,6 @@ def filtered_slice(X: tuple[int, ...], sl, fc, gens=None) -> _FilteredSlice | No
     smoothing's count of 1-smoothings on X; an isotypic vector takes the
     level of its least id, which is every id's level when X is invariant.
     """
-    if not fc.dims:
-        return None
     mask = sum(1 << c for c in X)
     levels = {}
     for i in fc.dims:
@@ -341,11 +339,11 @@ def filtered_slice(X: tuple[int, ...], sl, fc, gens=None) -> _FilteredSlice | No
         for bits, size in sl.smoothings(i):
             full += [(bits & mask).bit_count()] * size
         levels[i] = full if gens is None else [full[min(v)] for v in gens[i]]
-    return _FilteredSlice(fc.dims, levels, fc.diffs, len(X))
+    return _bars(fc.dims, levels, fc.diffs)
 
 
 def run_pages(diagram: PeriodicDiagram, X, sector: int | None = None,
-              slices: dict[int, _FilteredSlice] | None = None) -> list[SSPage]:
+              slices: dict[int, list[tuple]] | None = None) -> list[SSPage]:
     """Pages E_1 .. E_infinity of the orbit-resolution filtration over Q.
 
     With a sector d | n (n = 2 only, and X an orbit), the filtration is first
@@ -374,29 +372,22 @@ def run_pages(diagram: PeriodicDiagram, X, sector: int | None = None,
             if not sl.dims:
                 continue
             if sector is None:
-                fs = filtered_slice(X, sl, sl.to_free_complex())
+                slices[j] = filtered_slice(X, sl, sl.to_free_complex())
             else:
                 gens, fc = isotypic_complex(sl.dims, sl.psi, sl.diff, sector)
-                fs = filtered_slice(X, sl, fc, gens)
-            if fs is not None:
-                slices[j] = fs
-    L = len(X)
+                slices[j] = filtered_slice(X, sl, fc, gens)
     pages = []
-    for r in range(1, L + 3):
+    for r in range(1, len(X) + 3):
         entries: dict[tuple[int, int, int], int] = {}
         d_ranks: dict[tuple[int, int, int], int] = {}
-        for j, fs in slices.items():
-            for m in sorted(fs.dims):
-                for p in range(0, L + 1):
-                    q = m - p
-                    e = (fs.z(m, p, p + r) - fs.z(m, p + 1, p + r)
-                         - fs.z(m - 1, p - r + 1, p) + fs.z(m - 1, p - r + 1, p + 1))
-                    if e:
-                        entries[(p, q, j)] = e
-                    rk = (fs.z(m, p, p + r) - fs.z(m, p, p + r + 1)
-                          - fs.z(m, p + 1, p + r) + fs.z(m, p + 1, p + r + 1))
-                    if rk:
-                        d_ranks[(p, q, j)] = rk
+        for j, bars in slices.items():
+            for m, x, y in bars:
+                if y is not None and y - x < r:
+                    continue
+                for deg, p in ((m, x),) if y is None else ((m, x), (m + 1, y)):
+                    entries[(p, deg - p, j)] = entries.get((p, deg - p, j), 0) + 1
+                if y is not None and y - x == r:
+                    d_ranks[(x, m - x, j)] = d_ranks.get((x, m - x, j), 0) + 1
         pages.append(SSPage(r, entries, d_ranks))
     return pages
 

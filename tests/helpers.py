@@ -10,8 +10,9 @@ compared up to a window, the rotation orbits of the smoothings of one
 weight, the chain-level tiling of the orbit-resolution filtration, and
 references for the isotypic projection: the full-row product, the
 eigenlattices of a signed permutation walked cycle by cycle, and the slice
-on them; and a reference for the action check, comparing d(psi x) with
-psi(d x) as vectors.
+on them; a reference for the action check, comparing d(psi x) with
+psi(d x) as vectors; and a reference for the spectral pages, read off
+kernel dimensions of cut matrices.
 """
 
 from fractions import Fraction
@@ -21,7 +22,7 @@ from math import gcd
 from pkh.complexes import build_complex
 from pkh.diagram import isotropy
 from pkh.equivariant import equivariant_reduce
-from pkh.homalg import FreeComplex, SparseIntMatrix, isotypic_complex
+from pkh.homalg import FreeComplex, SparseIntMatrix, int_rank, isotypic_complex
 from pkh.polynomials import BiPolynomial
 from pkh.spectral import resolve_diagram
 
@@ -290,3 +291,48 @@ def reference_action_failure(sl, diffs, n: int):
                 if {a: b for a, b in lhs.items() if b} != {a: b for a, b in rhs.items() if b}:
                     return "psi_commutes", (i, sl.j, k)
     return None
+
+
+def reference_pages(dims, levels, mats, L):
+    """(entries, d_ranks) of the pages r = 1 .. L + 2 of one filtered complex,
+    keyed (p, q), by the elementary filtered-complex algorithm.
+
+    z(m, p, cut) is the dimension of the degree-m chains of level >= p
+    whose differential has no component of level < cut: the kernel of d_m
+    cut to those columns and rows, its rank taken by `int_rank`.  Levels lie
+    in 0 .. L, so p and cut beyond L + 1 change nothing.  Every entry and
+    rank is a difference of four such dimensions.  It shares no code with
+    the engine's column reduction, so it is a reference for it.
+    """
+    memo = {}
+
+    def z(m, p, cut):
+        p, cut = max(p, 0), min(cut, L + 1)
+        if p > L + 1:
+            return 0
+        if (m, p, cut) not in memo:
+            cols = [k for k, lv in enumerate(levels.get(m, [])) if lv >= p]
+            sub = SparseIntMatrix(dims.get(m + 1, 0), len(cols))
+            mat = mats.get(m)
+            for new, c in enumerate(cols if mat is not None else ()):
+                for r in mat.cols.get(c, ()):
+                    if levels[m + 1][r] < cut:
+                        sub.set(r, new, mat.rows[r][c])
+            memo[(m, p, cut)] = len(cols) - int_rank(sub)
+        return memo[(m, p, cut)]
+
+    pages = []
+    for r in range(1, L + 3):
+        entries, d_ranks = {}, {}
+        for m in sorted(dims):
+            for p in range(L + 1):
+                e = (z(m, p, p + r) - z(m, p + 1, p + r)
+                     - z(m - 1, p - r + 1, p) + z(m - 1, p - r + 1, p + 1))
+                if e:
+                    entries[(p, m - p)] = e
+                rk = (z(m, p, p + r) - z(m, p, p + r + 1)
+                      - z(m, p + 1, p + r) + z(m, p + 1, p + r + 1))
+                if rk:
+                    d_ranks[(p, m - p)] = rk
+        pages.append((entries, d_ranks))
+    return pages

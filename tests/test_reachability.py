@@ -42,6 +42,7 @@ UNREACHED = {
     "diagram.isotropy": _ITEM_7 + " (fixed_state_sign reads it)",
     "complexes.SliceComplex.basis": _TRACED,
     "homalg.SparseIntMatrix.nnz": _TRACED,
+    "homalg.int_rank": _TRACED,
     "equivariant.total_comparison": _ITEM_3,
     "equivariant.tail_checks": _ITEM_3,
     "equivariant.hom_cohomology": "tests/test_acceptance.py criterion 2: the plain Hom "

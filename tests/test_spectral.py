@@ -3,11 +3,12 @@ import pytest
 from pkh import corpus, spectral
 from pkh.action import verify_module_structure
 from pkh.complexes import build_complex, khovanov_homology, khovanov_polynomial
-from pkh.errors import ValidationError
-from pkh.homalg import SparseIntMatrix
+from pkh.errors import InvariantError, ValidationError
+from pkh.homalg import SparseIntMatrix, isotypic_complex
 from pkh.spectral import (crossing_orbit, e1_oracle, einf_abutment_ok, filtered_slice,
                           resolve_diagram, run_pages)
-from helpers import bipoly_mul, rational, resolutions_tile
+from helpers import bipoly_mul, from_dense, rational, reference_pages, resolutions_tile
+from test_moves import closure, closures
 
 
 class TestResolvedDiagrams:
@@ -126,9 +127,7 @@ class TestPages:
             slices = {}
 
             def to_pages(sl, fc):
-                fs = filtered_slice(X, sl, fc)
-                if fs is not None:
-                    slices[sl.j] = fs
+                slices[sl.j] = filtered_slice(X, sl, fc)
 
             verify_module_structure(D, to_pages)
             handed = run_pages(D, X, slices=slices)
@@ -326,7 +325,9 @@ class TestFilteredReduction:
 
         def checked(dims, levels, mats):
             want = reference_filtered_reduce(dims, levels, mats)
-            got = real(dims, levels, mats)
+            red = real(dims, levels, mats)
+            got_dims, got_mats, remap = red.export()
+            got = (got_dims, {m: [levels[m][e] for e in remap[m]] for m in got_dims}, got_mats)
             assert list(got[0].items()) == list(want[0].items())
             assert list(got[1].items()) == list(want[1].items())
             assert list(got[2]) == list(want[2])
@@ -335,7 +336,7 @@ class TestFilteredReduction:
                 assert [(r, list(row.items())) for r, row in got[2][m].rows.items()] == \
                     [(r, list(row.items())) for r, row in mat.rows.items()]
             seen.append(sum(want[0].values()) < sum(dims.values()))
-            return got
+            return red
 
         monkeypatch.setattr(spectral, "_filtered_reduce", checked)
         for name in corpus.corpus_names():
@@ -348,3 +349,61 @@ class TestFilteredReduction:
                     run_pages(D, X, sector=1)
                     run_pages(D, X, sector=2)
         assert any(seen)
+
+
+def compare_with_reference(D, X, sector=None):
+    """`run_pages` on slices built here, against `reference_pages` on each
+    slice after `reference_filtered_reduce`, with levels read off `basis`."""
+    mask = sum(1 << c for c in X)
+    want = [({}, {}) for _ in range(len(X) + 2)]
+    slices = {}
+    cx = build_complex(D)
+    for j in cx.quantum_range():
+        sl = cx.slice(j)
+        if not sl.dims:
+            continue
+        gens, fc = ((None, sl.to_free_complex()) if sector is None
+                    else isotypic_complex(sl.dims, sl.psi, sl.diff, sector))
+        levels = {}
+        for i in fc.dims:
+            full = [(bits & mask).bit_count() for bits, _ in sl.basis[i]]
+            levels[i] = full if gens is None else [full[min(v)] for v in gens[i]]
+        reduced = reference_filtered_reduce(fc.dims, levels, fc.diffs)
+        for (entries, d_ranks), (e, rk) in zip(want, reference_pages(*reduced, len(X))):
+            entries.update(((p, q, j), v) for (p, q), v in e.items())
+            d_ranks.update(((p, q, j), v) for (p, q), v in rk.items())
+        slices[j] = filtered_slice(X, sl, fc, gens)
+    got = [(pg.entries, pg.d_ranks) for pg in run_pages(D, X, sector=sector, slices=slices)]
+    assert got == want, (D.ncross, D.n, X, sector)
+
+
+class TestBars:
+    def test_pages_match_the_kernel_dimension_reference(self):
+        """Every crossing orbit of the corpus up to 10 crossings, sectors 1 and
+        2 too where n = 2, and the first orbit of each move closure."""
+        cases = []
+        for name in corpus.corpus_names():
+            D = corpus.build(name)
+            if 0 < D.ncross <= 10:
+                sectors = (None, 1, 2) if D.n == 2 else (None,)
+                for X in sorted({crossing_orbit(D, c) for c in range(D.ncross)}):
+                    cases += [(D, X, sector) for sector in sectors]
+        for n in (2, 3, 4):
+            for word, strands in closures(n):
+                D = closure(word, strands, n)
+                if D.ncross:
+                    cases.append((D, crossing_orbit(D, 0), None))
+        for case in cases:
+            compare_with_reference(*case)
+        assert len(cases) >= 120
+
+    def test_a_generator_in_two_bars_is_refused(self):
+        # x -> y -> z at levels 0, 1, 2 with d_1 d_0 = 1: y would end two bars
+        mats = {0: from_dense([[1]]), 1: from_dense([[1]])}
+        with pytest.raises(InvariantError, match="two bars"):
+            spectral._bars({0: 1, 1: 1, 2: 1}, {0: [0], 1: [1], 2: [2]}, mats)
+
+    def test_a_differential_lowering_the_level_is_refused(self):
+        # x -> y from level 2 to level 0: a bar of length -2
+        with pytest.raises(InvariantError, match="lowers the filtration level"):
+            spectral._bars({0: 1, 1: 1}, {0: [2], 1: [0]}, {0: from_dense([[1]])})
