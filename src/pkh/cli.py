@@ -32,16 +32,12 @@ def _load(path: str):
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise _IOFail(str(exc)) from exc
+        raise ParseError(str(exc)) from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     return parse_diagram(text)
-
-
-class _IOFail(Exception):
-    pass
 
 
 def _groups(items) -> list[dict]:
@@ -284,21 +280,11 @@ def main(argv=None) -> int:
         print("error: standard output was closed before all output was written",
               file=sys.stderr)
         return IO_EXIT
-    except _IOFail as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return IO_EXIT
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return IO_EXIT
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INVARIANT_EXIT
     except PkhError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+        if isinstance(exc, ParseError):
+            return IO_EXIT
+        return INVARIANT_EXIT if isinstance(exc, InvariantError) else USAGE_EXIT
 
 
 if __name__ == "__main__":

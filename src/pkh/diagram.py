@@ -5,6 +5,12 @@ with the outgoing seam of copy i glued to the incoming seam of copy
 i+1 mod n.  Crossings carry four slot labels listed counterclockwise from
 the incoming under-strand; the 0-smoothing joins (slot0,slot1) and
 (slot2,slot3), the 1-smoothing joins (slot0,slot3) and (slot1,slot2).
+
+Both steps are connected components, found by one union-find
+(`components`): the diagram's arcs are the tangle arcs of all n copies
+under the seam joins, and a smoothing's circles are the diagram's arcs
+under the joins its smoothing makes at each crossing.  Both are numbered
+by their least member, the canonical order the engine relies on.
 """
 
 from __future__ import annotations
@@ -117,13 +123,36 @@ class QuotientTangle:
                 raise ParseError(f"seam index {k}: inconsistent flow across the seam")
 
 
-@dataclass(frozen=True)
-class FullArc:
-    """An arc of the glued diagram: 0 or 2 crossing-slot endpoints."""
+def components(size: int, pairs) -> tuple[bytes, int, bytes]:
+    """Connected components of range(size) under the joins (x, y) in `pairs`.
 
-    aid: int
-    ends: tuple[tuple[int, str], ...]  # (copy, slot label)
-    pieces: frozenset[tuple[int, int]]  # (copy, tangle arc index)
+    Returns the component of each member, the component count and the least
+    member of each component.  Components are numbered by ascending least
+    member; both tables are bytes, as `MAX_ARC_PIECES` bounds every member.
+    """
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    # every root is its component's least member, so it comes before the rest
+    comp = bytearray(size)
+    least = bytearray()
+    for x in range(size):
+        r = find(x)
+        if r == x:
+            comp[x] = len(least)
+            least.append(x)
+        else:
+            comp[x] = comp[r]
+    return bytes(comp), len(least), bytes(least)
 
 
 class _StateData:
@@ -158,7 +187,6 @@ class PeriodicDiagram:
         self.n = n
         self.ncross_t = len(tangle.crossings)
         self.ncross = n * self.ncross_t
-        self.signs = [tangle.signs[g % self.ncross_t] for g in range(self.ncross)]
         self.n_plus = n * tangle.n_plus
         self.n_minus = n * tangle.n_minus
         self._glue()
@@ -171,79 +199,34 @@ class PeriodicDiagram:
         return [(copy, s) for s in self.tangle.crossings[t].slots]
 
     def _glue(self) -> None:
-        tg = self.tangle
-        # port -> (copy, arc index, which end)
-        piece_end: dict[tuple[int, str], tuple[int, int]] = {}
+        # piece copy * na + a is tangle arc a in that copy; seam_out[k] of a
+        # copy is joined to seam_in[k] of the next, and the glued arcs are the
+        # components, numbered by least piece
+        tg, n = self.tangle, self.n
+        na = len(tg.arcs)
+        arc_at = {}
         for a, (t, h) in enumerate(tg.arcs):
-            if t == h:
-                continue
-            for copy in range(self.n):
-                piece_end[(copy, t)] = (copy, a)
-                piece_end[(copy, h)] = (copy, a)
-
-        seam_pair: dict[tuple[int, str], tuple[int, str]] = {}
-        for k in range(len(tg.seam_in)):
-            for copy in range(self.n):
-                seam_pair[(copy, tg.seam_out[k])] = ((copy + 1) % self.n, tg.seam_in[k])
-                seam_pair[((copy + 1) % self.n, tg.seam_in[k])] = (copy, tg.seam_out[k])
-
-        slot_ports = {(copy, s) for x in tg.crossings for s in x.slots for copy in range(self.n)}
-
-        arcs: list[FullArc] = []
-        seen_pieces: set[tuple[int, int]] = set()
-        items = []
-        for a, (t, h) in enumerate(tg.arcs):
-            for copy in range(self.n):
-                piece = (copy, a)
-                if piece in seen_pieces:
-                    continue
-                if t == h:
-                    seen_pieces.add(piece)
-                    items.append((frozenset([piece]), ()))
-                    continue
-                # walk the chain of pieces through seam identifications
-                chain = {piece}
-                ends = []
-                for start in (t, h):
-                    copy2, port = copy, start
-                    while True:
-                        if (copy2, port) in slot_ports:
-                            ends.append((copy2, port))
-                            break
-                        nxt = seam_pair[(copy2, port)]
-                        hop = piece_end.get(nxt)
-                        if hop is None or hop in chain:
-                            # closed through the seam with no crossings
-                            ends = None
-                            break
-                        chain.add(hop)
-                        c2, a2 = hop
-                        t2, h2 = tg.arcs[a2]
-                        port = h2 if (c2, t2) == nxt else t2
-                        copy2 = c2
-                    if ends is None:
-                        break
-                seen_pieces |= chain
-                items.append((frozenset(chain), tuple(ends or ())))
-        items.sort(key=lambda it: min(it[0]))
-        for aid, (pieces, ends) in enumerate(items):
-            arcs.append(FullArc(aid, ends, pieces))
-        self.arcs = arcs
-        self.slot_to_arc: dict[tuple[int, str], int] = {}
-        for arc in arcs:
-            for e in arc.ends:
-                self.slot_to_arc[e] = arc.aid
+            arc_at[t] = arc_at[h] = a
+        joins = [(c * na + arc_at[po], (c + 1) % n * na + arc_at[pi])
+                 for c in range(n) for pi, po in zip(tg.seam_in, tg.seam_out)]
+        arc_of, count, least = components(n * na, joins)
+        # arc k's ends: the slot a piece of it leaves and the slot one enters;
+        # a closed circle has neither
+        slots = {s for x in tg.crossings for s in x.slots}
+        tails, heads = [None] * count, [None] * count
+        for c in range(n):
+            for a, (t, h) in enumerate(tg.arcs):
+                if t in slots:
+                    tails[arc_of[c * na + a]] = (c, t)
+                if h in slots:
+                    heads[arc_of[c * na + a]] = (c, h)
+        self.arcs = [(t, h) if t else () for t, h in zip(tails, heads)]
+        self.slot_to_arc = {e: k for k, ends in enumerate(self.arcs) for e in ends}
         # per crossing, the arcs at its four slots in slot order
         self.crossing_arcs = tuple(tuple(self.slot_to_arc[e] for e in self.crossing_slots(g))
                                    for g in range(self.ncross))
-
-        piece_to_arc = {}
-        for arc in arcs:
-            for p in arc.pieces:
-                piece_to_arc[p] = arc.aid
         # preimage under copy shift +1: the arc holding the least piece's copy - 1
-        self.inv_rot_arc = [piece_to_arc[((c - 1) % self.n, a)]
-                            for c, a in (min(arc.pieces) for arc in arcs)]
+        self.inv_rot_arc = [arc_of[(p - na) % (n * na)] for p in least]
 
     # -- states ------------------------------------------------------------
 
@@ -264,28 +247,10 @@ class PeriodicDiagram:
         return sd
 
     def _smooth(self, bits: int) -> _StateData:
-        na = len(self.arcs)
-        parent = list(range(na))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g, a in enumerate(self.crossing_arcs):
-            if (bits >> g) & 1:
-                pairs = ((a[0], a[3]), (a[1], a[2]))
-            else:
-                pairs = ((a[0], a[1]), (a[2], a[3]))
-            for x, y in pairs:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[max(rx, ry)] = min(rx, ry)
-        roots = sorted({find(a) for a in range(na)})
-        index = {r: k for k, r in enumerate(roots)}
-        circ_of_arc = bytes([index[find(a)] for a in range(na)])
-        return _StateData(circ_of_arc, len(roots), bytes(roots))
+        joins = []
+        for g, (a0, a1, a2, a3) in enumerate(self.crossing_arcs):
+            joins += ((a0, a3), (a1, a2)) if (bits >> g) & 1 else ((a0, a1), (a2, a3))
+        return _StateData(*components(len(self.arcs), joins))
 
     # -- serialization -----------------------------------------------------
 

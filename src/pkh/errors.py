@@ -6,7 +6,7 @@ class PkhError(Exception):
 
 
 class ParseError(PkhError):
-    """A diagram document is malformed or violates the schema."""
+    """A diagram document cannot be read or is malformed."""
 
 
 class ValidationError(PkhError):

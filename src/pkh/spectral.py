@@ -23,7 +23,7 @@ from itertools import combinations
 from math import gcd
 
 from .complexes import build_complex, khovanov_homology
-from .diagram import Crossing, PeriodicDiagram, QuotientTangle
+from .diagram import Crossing, PeriodicDiagram, QuotientTangle, components
 from .errors import InvariantError, ValidationError
 from .homalg import CancellingComplex, isotypic_complex
 
@@ -68,24 +68,24 @@ def resolve_diagram(diagram: PeriodicDiagram, alpha: dict[int, int]):
     used: set[int] = set()
     paths = []   # (ordered list of (arc id, flipped?), end slots)
     loops = []
-    for a in D.arcs:
-        if a.aid in used:
+    for aid, ends in enumerate(D.arcs):
+        if aid in used:
             continue
-        if not a.ends:
-            used.add(a.aid)
-            loops.append([a.aid])
+        if not ends:
+            used.add(aid)
+            loops.append([aid])
             continue
-        if all(e in joins for e in a.ends):
+        if all(e in joins for e in ends):
             # might be an interior arc of a path or part of a cycle; walk later
             continue
-        start = next(e for e in a.ends if e not in joins)
-        chain, ends = _walk(D, joins, a.aid, start)
+        start = next(e for e in ends if e not in joins)
+        chain, path_ends = _walk(D, joins, aid, start)
         used.update(x for x, _ in chain)
-        paths.append((chain, ends))
-    for a in D.arcs:
-        if a.aid in used or not a.ends:
+        paths.append((chain, path_ends))
+    for aid, ends in enumerate(D.arcs):
+        if aid in used or not ends:
             continue
-        chain, _ = _walk(D, joins, a.aid, a.ends[0], cycle=True)
+        chain, _ = _walk(D, joins, aid, ends[0], cycle=True)
         used.update(x for x, _ in chain)
         loops.append([x for x, _ in chain])
 
@@ -100,28 +100,14 @@ def resolve_diagram(diagram: PeriodicDiagram, alpha: dict[int, int]):
         merged.append((e1, e2))
     narc = len(merged)
 
-    # trace link components through kept crossings to orient them
-    comp = list(range(narc))
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
     end_arc = {}
     for k, (e1, e2) in enumerate(merged):
         end_arc[e1] = k
         end_arc[e2] = k
-    for g in kept:
-        s = D.crossing_slots(g)
-        for a, b in ((0, 2), (1, 3)):
-            x, y = find(end_arc[s[a]]), find(end_arc[s[b]])
-            if x != y:
-                comp[max(x, y)] = min(x, y)
-    comp_of = [find(k) for k in range(narc)]
-    comp_ids = sorted(set(comp_of))
-    comp_index = {c: k for k, c in enumerate(comp_ids)}
+    # link components: merged arcs joined by the strands through kept crossings
+    strands = [(end_arc[s[a]], end_arc[s[b]])
+               for s in map(D.crossing_slots, kept) for a, b in ((0, 2), (1, 3))]
+    comp_of, ncomp, _ = components(narc, strands)
 
     # relative direction of each merged arc inside its component
     rel = _propagate_directions(D, kept, merged, end_arc)
@@ -137,12 +123,12 @@ def resolve_diagram(diagram: PeriodicDiagram, alpha: dict[int, int]):
         into3 = merged[a3][1] == s[3]
         over_in3 = into3 == (rel[a3] == 1)
         base_sign.append(1 if under_in == over_in3 else -1)
-        under_comp.append(comp_index[comp_of[a0]])
-        over_comp.append(comp_index[comp_of[a3]])
+        under_comp.append(comp_of[a0])
+        over_comp.append(comp_of[a3])
 
     best = None
-    for mask in range(1 << len(comp_ids)):
-        flips = [1 if not (mask >> k) & 1 else -1 for k in range(len(comp_ids))]
+    for mask in range(1 << ncomp):
+        flips = [1 if not (mask >> k) & 1 else -1 for k in range(ncomp)]
         nneg = sum(1 for t, sg in enumerate(base_sign)
                    if sg * flips[under_comp[t]] * flips[over_comp[t]] < 0)
         key = (nneg, mask)
@@ -163,7 +149,7 @@ def resolve_diagram(diagram: PeriodicDiagram, alpha: dict[int, int]):
             slots = slots[2:] + slots[:2]  # re-root at the other under slot
         out_crossings.append(Crossing(t, tuple(slots)))
     for k, (e1, e2) in enumerate(merged):
-        forward = (rel[k] == 1) == (flips[comp_index[comp_of[k]]] == 1)
+        forward = (rel[k] == 1) == (flips[comp_of[k]] == 1)
         tail, head = (e1, e2) if forward else (e2, e1)
         arcs_out.append((slot_name[tail], slot_name[head]))
     for m in range(len(loops)):
@@ -178,20 +164,16 @@ def resolve_diagram(diagram: PeriodicDiagram, alpha: dict[int, int]):
 def _walk(D, joins, aid, start_end, cycle=False):
     """Follow an arc chain through smoothing joins from one terminal end."""
     chain = []
-    arcs_by_end = {}
-    for a in D.arcs:
-        for e in a.ends:
-            arcs_by_end.setdefault(e, []).append(a.aid)
     cur_arc, enter = aid, start_end
     first = start_end
     while True:
-        ends = D.arcs[cur_arc].ends
+        ends = D.arcs[cur_arc]
         other = ends[1] if ends[0] == enter else ends[0]
         chain.append((cur_arc, enter != ends[0]))
         if other not in joins:
             return chain, (first, other)
         nxt_end = joins[other]
-        cur_arc, enter = arcs_by_end[nxt_end][0], nxt_end
+        cur_arc, enter = D.slot_to_arc[nxt_end], nxt_end
         if cycle and cur_arc == aid and enter == first:
             return chain, None
 

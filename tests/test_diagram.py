@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from math import comb
 
 import pytest
@@ -7,6 +8,7 @@ from pkh import corpus
 from pkh.diagram import Crossing, QuotientTangle, isotropy, parse_diagram
 from pkh.errors import ParseError
 from helpers import rotation_orbits
+from test_moves import closure, closures
 
 
 def as_text(spec):
@@ -83,6 +85,51 @@ class TestParsing:
             assert again.to_dict() == d.to_dict()
 
 
+def glued(source, diagrams):
+    """The corpus diagrams, or the move tests' braid closures of rotation order `source`."""
+    if source == "corpus":
+        return [(name, diagrams(name)) for name in corpus.corpus_names()]
+    return [((source, strands, word), closure(word, strands, source))
+            for word, strands in closures(source)]
+
+
+@pytest.mark.parametrize("source", ["corpus", 2, 3, 4])
+class TestGluing:
+    """The arcs of the glued diagram, checked against the tangle they come from."""
+
+    def test_each_slot_ends_one_arc(self, source, diagrams):
+        for where, d in glued(source, diagrams):
+            slots = [d.crossing_slots(g) for g in range(d.ncross)]
+            assert Counter(e for ends in d.arcs for e in ends) == \
+                Counter(e for s in slots for e in s), where
+            arc_at = {e: k for k, ends in enumerate(d.arcs) for e in ends}
+            assert d.slot_to_arc == arc_at, where
+            assert d.crossing_arcs == tuple(tuple(arc_at[e] for e in s) for s in slots), where
+
+    def test_an_arc_runs_from_a_tail_to_a_head(self, source, diagrams):
+        for where, d in glued(source, diagrams):
+            tails = {t for t, _ in d.tangle.arcs}
+            heads = {h for _, h in d.tangle.arcs}
+            for ends in d.arcs:
+                assert ends == () or (len(ends) == 2 and ends[0][1] in tails
+                                      and ends[1][1] in heads), (where, ends)
+
+    def test_rotation_is_a_permutation_of_order_dividing_n(self, source, diagrams):
+        for where, d in glued(source, diagrams):
+            arcs = list(range(len(d.arcs)))
+            assert sorted(d.inv_rot_arc) == arcs, where
+            image = arcs
+            for _ in range(d.n):
+                image = [d.inv_rot_arc[k] for k in image]
+            assert image == arcs, where
+
+    def test_rotation_moves_crossing_arcs_back_one_copy(self, source, diagrams):
+        for where, d in glued(source, diagrams):
+            for g, arcs in enumerate(d.crossing_arcs):
+                before = d.crossing_arcs[(g - d.ncross_t) % d.ncross]
+                assert [d.inv_rot_arc[a] for a in arcs] == list(before), (where, g)
+
+
 def n_circ(d, bits):
     return d.state_data(bits).n_circ
 
@@ -127,7 +174,7 @@ class TestSmoothing:
         spec["tangle"]["orient"] = [spec["tangle"]["orient"][k] for k in perm]
         shuffled = parse_diagram(as_text(spec))
         original = diagrams("unknot2_n2")
-        assert shuffled.signs == original.signs
+        assert shuffled.tangle.signs == original.tangle.signs
         for bits in range(4):
             assert n_circ(shuffled, bits) == n_circ(original, bits)
         assert khovanov_homology(shuffled) == khovanov_homology(original)

@@ -51,7 +51,6 @@ UNREACHED = {
                                         "would test true",
     "oracles.brute_orbit_qdims": "tests/test_oracles.py checks the qdim_M oracle against it",
     "spectral.resolve_diagram": _ITEM_2,
-    "spectral.resolve_diagram.find": _ITEM_2,
     "spectral._walk": _ITEM_2,
     "spectral._propagate_directions": _ITEM_2,
     "spectral.e1_oracle": _ITEM_2,
