@@ -59,7 +59,7 @@ def _tables(payload, prefix=""):
         if "groups" in payload and isinstance(payload["groups"], list):
             for k, v in payload.items():
                 if k != "groups":
-                    yield f"{prefix}{k}: {_scalar(v)}"
+                    yield from _tables({k: v}, prefix)
             yield f"{prefix}{'i':>4} {'j':>4} {'free':>5}  torsion"
             for g in payload["groups"]:
                 tors = ",".join(str(t) for t in g.get("torsion", [])) or "-"

@@ -1,15 +1,17 @@
 """Exact linear algebra over Z and arithmetic in Z[t]/(t^n - 1).
 
 Sparse integer matrices with arbitrary-precision entries, the invariant
-factors of their Smith normal form as a plain tuple (growth-aware pivoting;
-every group is read off the factors, so no unimodular change of basis is
-kept), and homology of finite free cochain complexes, each degree's group
-as the pair (free rank, torsion factors): the Smith form of the complex as
-given, which every engine first compresses by unit-pivot Gaussian
-cancellation (`reduce_unit_pivots`, which preserves integral homology
-exactly).  Smith form gives every group and rank here, `int_rank` is its
-rank, and a rational answer is the free rank of an integral group; the
-spectral pages are read off their own column reduction (`spectral`).
+factors of their Smith normal form as a plain tuple (on a copy of the rows,
+from a pivot least in its own row, its column cleared by row operations and
+its row reduced mod the pivot; every group is read off the factors, so no
+unimodular change of basis is kept), and homology of finite free cochain
+complexes, each degree's group as the pair (free rank, torsion factors):
+the Smith form of the complex as given, which every engine first compresses
+by unit-pivot Gaussian cancellation (`reduce_unit_pivots`, which preserves
+integral homology exactly).  Smith form gives every group and rank here,
+`int_rank` is its rank, and a rational answer is the free rank of an
+integral group; the spectral pages are read off their own column reduction
+(`spectral`).
 
 The group ring acts on a complex through a chain automorphism psi, a signed
 permutation of each basis.  A ring element is a plain coefficient list in
@@ -58,9 +60,6 @@ class SparseIntMatrix:
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, list[int]] = {}
 
-    def get(self, r: int, c: int) -> int:
-        return self.rows.get(r, {}).get(c, 0)
-
     def set(self, r: int, c: int, v: int) -> None:
         if v:
             row = self.rows.setdefault(r, {})
@@ -106,86 +105,55 @@ class SparseIntMatrix:
     def is_zero(self) -> bool:
         return not self.rows
 
-    def copy(self) -> "SparseIntMatrix":
-        m = SparseIntMatrix(self.nrows, self.ncols)
-        m.rows = {r: dict(row) for r, row in self.rows.items()}
-        m.cols = {c: col.copy() for c, col in self.cols.items()}
-        return m
-
 
 # ---------------------------------------------------------------------------
 # Smith normal form
 
 
-def _pick_pivot(m: SparseIntMatrix):
-    """Pivot with minimal |value|, ties broken by minimal fill estimate."""
-    best = None
-    best_key = None
-    for r, row in m.rows.items():
-        rlen = len(row)
-        for c, v in row.items():
-            key = (abs(v), (rlen - 1) * (len(m.cols[c]) - 1))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (r, c)
-                if key == (1, 0):
-                    return best
-    return best
-
-
-def _row_op(m: SparseIntMatrix, dst: int, src: int, q: int):
-    """row[dst] -= q * row[src]."""
-    if not q:
-        return
-    for c, v in list(m.rows.get(src, {}).items()):
-        m.add(dst, c, -q * v)
-
-
-def _col_op(m: SparseIntMatrix, dst: int, src: int, q: int):
-    """col[dst] -= q * col[src]."""
-    if not q:
-        return
-    for r in list(m.cols.get(src, ())):
-        m.add(r, dst, -q * m.rows[r][src])
-
-
 def smith_normal_form(a: SparseIntMatrix) -> tuple[int, ...]:
     """Invariant factors of the Smith normal form of an integer matrix.
 
-    Returns d_1 | d_2 | ... (units included, zeros omitted); `a` itself is
-    left unchanged.
+    Returns d_1 | d_2 | ... (units included, zeros omitted), from a copy of
+    the rows; `a` is left unchanged.  A pivot starts least in the first row
+    left.  Row operations clear its column; then a column operation changes
+    only the pivot row, so the row is reduced mod the pivot in place.  A
+    nonzero remainder is smaller than the pivot and becomes the pivot.
     """
-    m = a.copy()
+    rows = {r: dict(row) for r, row in a.rows.items()}
     diag: list[int] = []
-    while m.rows:
-        r0, c0 = _pick_pivot(m)
+    while rows:
+        r0, prow = next(iter(rows.items()))
+        if not prow:  # emptied by a row operation
+            del rows[r0]
+            continue
+        c0 = min(prow, key=lambda c: abs(prow[c]))
         while True:
-            p = m.rows[r0][c0]
-            moved = False
-            for r in list(m.cols.get(c0, ())):
-                if r == r0:
+            prow = rows[r0]
+            p = prow[c0]
+            for r, row in rows.items():
+                if r == r0 or c0 not in row:
                     continue
-                v = m.rows[r][c0]
-                _row_op(m, r, r0, v // p)
-                if m.get(r, c0):
-                    r0 = r  # remainder is smaller, becomes the pivot
-                    moved = True
+                # p is least only in its own row, so q may be 0 or -1 and a
+                # zero sum may fall at a column the row does not hold
+                q = row[c0] // p
+                for c, v in prow.items():
+                    x = row.get(c, 0) - q * v
+                    if x:
+                        row[c] = x
+                    else:
+                        row.pop(c, None)
+                if c0 in row:
+                    r0 = r
                     break
-            if moved:
-                continue
-            for c in list(m.rows.get(r0, {}).keys()):
-                if c == c0:
-                    continue
-                v = m.rows[r0][c]
-                _col_op(m, c, c0, v // p)
-                if m.get(r0, c):
-                    c0 = c
-                    moved = True
+            else:
+                rem = {c: x for c, v in prow.items() if (x := v % p)}
+                if not rem:
                     break
-            if not moved:
-                break
-        diag.append(abs(m.rows[r0][c0]))
-        m._drop(r0, c0)
+                rem[c0] = p
+                rows[r0] = rem
+                c0 = min(rem, key=lambda c: abs(rem[c]))
+        diag.append(abs(p))
+        del rows[r0]
     return tuple(_invariant_chain(diag))
 
 
@@ -261,13 +229,16 @@ class FreeComplex:
         Read off the Smith form of each d_i of the complex as given, which
         is left unchanged; a large complex is passed through
         `reduce_unit_pivots` first.  Degrees whose group is zero are
-        omitted; the rational homology is the free rank.
+        omitted; the rational homology is the free rank.  Ranks that leave
+        a negative free rank mean d o d != 0, which raises.
         """
         snf = {i: smith_normal_form(self.diff(i)) for i in self.degrees()}
         out: dict[int, tuple[int, tuple[int, ...]]] = {}
         for i in self.degrees():
             below = snf.get(i - 1, ())
             free = self.dims[i] - len(snf[i]) - len(below)
+            if free < 0:
+                raise InvariantError(f"d_{i} o d_{i-1} != 0")
             torsion = tuple(f for f in below if f != 1)
             if free or torsion:
                 out[i] = (free, torsion)

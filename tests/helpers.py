@@ -1,18 +1,18 @@
 """Helpers the tests share and the package does not use.
 
-Dense views of sparse matrices, the rank over Q and the determinant by
-dense `Fraction` elimination, invariant factors from determinantal divisors,
-the product and the long division of integer polynomials, the product of
-polynomials in t and q, the rank of each chain group of a complex, the
-rational part and the mirror of a graded group (a dict {(i, j): (free
-rank, torsion factors)}, as the engine returns it), two such dicts
-compared up to a window, the rotation orbits of the smoothings of one
-weight, the chain-level tiling of the orbit-resolution filtration, and
-references for the isotypic projection: the full-row product, the
+Dense views of sparse matrices, an entry and a copy of one, the rank over Q
+and the determinant by dense `Fraction` elimination, invariant factors from
+determinantal divisors, the product and the long division of integer
+polynomials, the product of polynomials in t and q, the rank of each chain
+group of a complex, the rational part and the mirror of a graded group (a
+dict {(i, j): (free rank, torsion factors)}, as the engine returns it), two
+such dicts compared up to a window, the rotation orbits of the smoothings
+of one weight, the chain-level tiling of the orbit-resolution filtration,
+and references for the isotypic projection: the full-row product, the
 eigenlattices of a signed permutation walked cycle by cycle, and the slice
-on them; a reference for the action check, comparing d(psi x) with
-psi(d x) as vectors; and a reference for the spectral pages, read off
-kernel dimensions of cut matrices.
+on them; a reference for the action check, comparing d(psi x) with psi(d x)
+as vectors; and a reference for the spectral pages, read off kernel
+dimensions of cut matrices.
 """
 
 from fractions import Fraction
@@ -43,12 +43,25 @@ def to_dense(m: SparseIntMatrix) -> list[list[int]]:
     return out
 
 
+def entry(m: SparseIntMatrix, r: int, c: int) -> int:
+    """The entry of m at row r and column c, 0 where none is stored."""
+    return m.rows.get(r, {}).get(c, 0)
+
+
+def copy_matrix(m: SparseIntMatrix) -> SparseIntMatrix:
+    """An independent copy of m, rows and column index both."""
+    out = SparseIntMatrix(m.nrows, m.ncols)
+    out.rows = {r: dict(row) for r, row in m.rows.items()}
+    out.cols = {c: list(col) for c, col in m.cols.items()}
+    return out
+
+
 def fraction_rank(m: SparseIntMatrix) -> int:
     """Rank over Q by dense Gauss-Jordan elimination with `Fraction` entries.
 
     Shares no code with the package's elimination, so it is an oracle for it.
     """
-    rows = [[Fraction(m.get(r, c)) for c in range(m.ncols)] for r in range(m.nrows)]
+    rows = [[Fraction(entry(m, r, c)) for c in range(m.ncols)] for r in range(m.nrows)]
     rank = 0
     for c in range(m.ncols):
         piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)

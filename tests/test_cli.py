@@ -208,6 +208,13 @@ class TestCommands:
         assert code == 0
         assert "free" in out and "torsion" in out
 
+    def test_table_format_nests_the_keys_beside_the_groups(self, capsys, corpus_dir):
+        code, out = run_cli(capsys, "ekh", str(corpus_dir / "hopf.json"), "--d", "2",
+                            "--format", "table")
+        assert code == 0
+        assert out.splitlines()[:6] == ["d: 2", "n: 2", "window: 10", "tail:",
+                                        "  periodic_from: 3", "  top_degree: 10"]
+
     def test_table_format_starts_each_list_item_with_a_dash(self, capsys, corpus_dir):
         code, out = run_cli(capsys, "verify", str(corpus_dir / "hopf.json"),
                             "--format", "table")

@@ -14,8 +14,8 @@ from pkh.homalg import (FreeComplex, OrbitCancellingComplex, SparseIntMatrix,
                         isotypic_complex, isotypic_part, orbits, project,
                         rational_idempotents, reduce_unit_pivots,
                         smith_normal_form)
-from helpers import (determinantal_factors, divmod_monic, fraction_rank, from_dense,
-                     isotypic_parts, poly_mul, project_full_rows, to_dense, transpose)
+from helpers import (copy_matrix, determinantal_factors, divmod_monic, entry, fraction_rank,
+                     from_dense, isotypic_parts, poly_mul, project_full_rows, to_dense, transpose)
 
 
 class TestSmithNormalForm:
@@ -65,6 +65,36 @@ class TestSmithNormalForm:
             f = smith_normal_form(from_dense(rows))
             assert all(b % a == 0 for a, b in zip(f, f[1:]))
 
+    def test_known_chain_behind_unimodular_changes(self):
+        """A = U D V for a chosen chain D, at sizes beyond the determinantal oracle.
+
+        U and V are products of about 30 elementary row and column
+        operations each, with multipliers in -2..2, and the rows of A are
+        shuffled, so A has the invariant factors of D.
+        """
+        rng = random.Random(29)
+        big = 2 ** 64 + 13
+        for _ in range(40):
+            nr, nc = rng.randint(5, 20), rng.randint(5, 20)
+            chain, f = [], 1
+            for _ in range(rng.randint(0, min(nr, nc))):
+                f *= rng.choice((1, 1, 2, 3, big))
+                chain.append(f)
+            a = [[0] * nc for _ in range(nr)]
+            for k, f in enumerate(chain):
+                a[k][k] = f
+            for _ in range(30):
+                q = rng.choice((-2, -1, 1, 2))
+                if rng.random() < 0.5:
+                    i, j = rng.sample(range(nr), 2)
+                    a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+                else:
+                    i, j = rng.sample(range(nc), 2)
+                    for row in a:
+                        row[i] += q * row[j]
+            rng.shuffle(a)
+            assert smith_normal_form(from_dense(a)) == tuple(chain)
+
 
 class TestHomology:
     def test_multiplication_by_two(self):
@@ -75,6 +105,12 @@ class TestHomology:
     def test_identity_complex(self):
         cx = FreeComplex({0: 2, 1: 2}, {0: from_dense([[1, 0], [0, 1]])})
         assert cx.homology() == {}
+
+    def test_ranks_too_large_for_the_dimensions_raise(self):
+        # d_1 o d_0 = [[1]] != 0, so rank d_0 + rank d_1 exceeds dims[1]
+        cx = FreeComplex({0: 1, 1: 1, 2: 1}, {0: from_dense([[1]]), 1: from_dense([[1]])})
+        with pytest.raises(InvariantError, match="d_1 o d_0"):
+            cx.homology()
 
     def test_two_sphere(self):
         # coboundaries of the tetrahedron: H^0 = Z, H^2 = Z
@@ -115,7 +151,7 @@ class TestHomology:
         rng = random.Random(5)
         for _ in range(10):
             cx = _random_complex(rng)
-            copy = FreeComplex(cx.dims, {i: m.copy() for i, m in cx.diffs.items()})
+            copy = FreeComplex(cx.dims, {i: copy_matrix(m) for i, m in cx.diffs.items()})
             assert reduce_unit_pivots(copy).homology() == cx.homology()
 
     def test_check_composes_reads_every_row(self):
@@ -284,7 +320,7 @@ class TestGroupRingEval:
 
     def test_norm_on_trivial_rank_one(self):
         m = eval_group_ring([1, 1, 1, 1], [(0, 1)], 1)
-        assert m.get(0, 0) == 4
+        assert entry(m, 0, 0) == 4
 
     def test_t_plus_one_on_sign(self):
         m = eval_group_ring([1, 1], [(0, -1)], 1)
@@ -385,14 +421,14 @@ def _compact(alive, mats, keep_empty):
 def reference_unit_reduction(cx):
     """Unit-pivot reduction in rounds, one unit at a time."""
     alive = {i: set(range(n)) for i, n in cx.dims.items()}
-    mats = {i: m.copy() for i, m in cx.diffs.items() if not m.is_zero()}
+    mats = {i: copy_matrix(m) for i, m in cx.diffs.items() if not m.is_zero()}
     while True:
         batch = _unit_batch(mats)
         if not batch:
             break
         for _, i, r, c in batch:
             m = mats.get(i)
-            if m is not None and m.get(r, c) in (1, -1):
+            if m is not None and entry(m, r, c) in (1, -1):
                 _schur_cancel(mats, i, r, c)
                 alive[i].discard(c)
                 alive[i + 1].discard(r)
@@ -427,16 +463,16 @@ def reference_orbit_reduction(sl, n):
         progress = False
         for _, i, t, s in _unit_batch(mats):
             m = mats.get(i)
-            if m is None or m.get(t, s) not in (1, -1):
+            if m is None or entry(m, t, s) not in (1, -1):
                 continue
             if s not in psi[i] or t not in psi[i + 1]:
                 continue
             orb_s, orb_t = orbit(i, s), orbit(i + 1, t)
             if len(orb_s) != n or len(orb_t) != n:
                 continue
-            if any(m.get(t2, s) for t2 in orb_t if t2 != t):
+            if any(entry(m, t2, s) for t2 in orb_t if t2 != t):
                 continue
-            if any(m.get(t2, s2) not in (1, -1) for t2, s2 in zip(orb_t, orb_s)):
+            if any(entry(m, t2, s2) not in (1, -1) for t2, s2 in zip(orb_t, orb_s)):
                 continue
             for t2, s2 in zip(orb_t, orb_s):
                 _schur_cancel(mats, i, t2, s2)
@@ -643,7 +679,7 @@ class TestCancellationKernel:
         every column and each orbit cancellation is one unit cancellation.
         """
         for where, cx in kernel_inputs():
-            mats = {i: m.copy() for i, m in cx.diffs.items()}
+            mats = {i: copy_matrix(m) for i, m in cx.diffs.items()}
 
             def build(i, keep):
                 assert list(keep) == [1] * cx.dims[i], where
@@ -653,7 +689,7 @@ class TestCancellationKernel:
             red = OrbitCancellingComplex(cx.dims, psi, 1, build)
             red.reduce(red.free_pivot)
             dims, diffs, _ = red.export()
-            want = reduce_unit_pivots(FreeComplex(cx.dims, {i: m.copy() for i, m in cx.diffs.items()}))
+            want = reduce_unit_pivots(FreeComplex(cx.dims, {i: copy_matrix(m) for i, m in cx.diffs.items()}))
             assert_same_complex({i: dims.get(i, 0) for i in cx.dims}, diffs,
                                 want.dims, want.diffs, where)
 

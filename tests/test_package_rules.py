@@ -61,3 +61,15 @@ def violations(path: Path) -> list[str]:
 def test_standard_library_only_no_floating_point_and_oracles_apart():
     found = [v for path in sorted(PACKAGE.glob("*.py")) for v in violations(path)]
     assert found == []
+
+
+def test_sources_parse_as_python_3_10():
+    """Every file of the package and of the tests parses with the grammar of
+    Python 3.10, the oldest version pyproject.toml admits.
+
+    This checks syntax only (`except*`, say, is flagged), not whether the
+    standard-library names a file uses exist in 3.10.
+    """
+    tests = Path(__file__).resolve().parent
+    for path in sorted([*PACKAGE.glob("*.py"), *tests.glob("*.py")]):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

@@ -7,7 +7,8 @@ from pkh.errors import InvariantError, ValidationError
 from pkh.homalg import SparseIntMatrix, isotypic_complex
 from pkh.spectral import (crossing_orbit, e1_oracle, einf_abutment_ok, filtered_slice,
                           resolve_diagram, run_pages)
-from helpers import bipoly_mul, from_dense, rational, reference_pages, resolutions_tile
+from helpers import (bipoly_mul, copy_matrix, entry, from_dense, rational, reference_pages,
+                     resolutions_tile)
 from test_moves import closure, closures
 
 
@@ -175,11 +176,11 @@ class TestPages:
                     if not cols:
                         continue
                     mat = sl.diff(m)
-                    sub = [[Fraction(mat.get(r, c)) for c in cols] for r in rows]
+                    sub = [[Fraction(entry(mat, r, c)) for c in cols] for r in rows]
                     out_rank = _frac_rank(sub)
                     prev = picks.get(m - 1, [])
                     matp = sl.diff(m - 1) if prev else None
-                    subp = [[Fraction(matp.get(r, c)) for c in prev] for r in cols] if prev else []
+                    subp = [[Fraction(entry(matp, r, c)) for c in prev] for r in cols] if prev else []
                     in_rank = _frac_rank(subp)
                     dim = len(cols) - out_rank - in_rank
                     if dim:
@@ -250,7 +251,7 @@ class TestEquivariantPages:
 def reference_filtered_reduce(dims, levels, mats):
     """Equal-level unit cancellation, first found first, on copies of mats."""
     alive = {m: set(range(n)) for m, n in dims.items()}
-    work = {m: mat.copy() for m, mat in mats.items()}
+    work = {m: copy_matrix(mat) for m, mat in mats.items()}
     progress = True
     while progress:
         progress = False
@@ -262,7 +263,7 @@ def reference_filtered_reduce(dims, levels, mats):
                 if not row:
                     continue
                 for s, v in list(row.items()):
-                    if v not in (1, -1) or lv_t[t] != lv_s[s] or mat.get(t, s) != v:
+                    if v not in (1, -1) or lv_t[t] != lv_s[s] or entry(mat, t, s) != v:
                         continue
                     _reference_cancel(work, m, t, s)
                     alive[m].discard(s)
